@@ -10,6 +10,7 @@ with "[".
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -20,6 +21,8 @@ from .structure import InternalMonoid, Law
 
 Resolver = Optional[Callable[[str, str], object]]
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
@@ -27,15 +30,17 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
+    """Read a rational: a JSON integer, or a string "p/q" or "p" (p may be negative)."""
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f'bad rational {s!r}: expected "p/q" or an integer')
     try:
-        value = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {s!r}: {exc}") from None
-    return value
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {s!r}: zero denominator") from None
 
 
 def label_to_json(label):
@@ -260,9 +265,13 @@ def value_from_json(obj):
     if t in _DECODERS:
         return _DECODERS[t](v)
     if t == "bool":
-        return bool(v)
+        if not isinstance(v, bool):
+            raise ValueError(f"bad bool {v!r}")
+        return v
     if t == "int":
-        return int(v)
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"bad int {v!r}")
+        return v
     if t == "rational":
         return parse_fraction(v)
     if t == "point":

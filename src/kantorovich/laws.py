@@ -1,18 +1,19 @@
 """Randomized law-checking engine.
 
-Every structural equation and inequality of the package is a catalog entry
-with its own instance generator and an exact checker. A suite run is fully
-deterministic: each law draws its instances from a private generator seeded
-by a stable hash of the suite seed and the law id, so adding a law never
-perturbs the instances of another. Failures never abort a run; they are
-recorded in the report together with the first counterexample.
+Every structural equation and inequality of the package is a catalog entry,
+registered with :func:`law` on its exact checker together with its instance
+generator. A suite run is fully deterministic: each law draws its instances
+from a private generator seeded by a stable hash of the suite seed and the
+law id, so adding a law never perturbs the instances of another. Failures
+never abort a run; they are recorded in the report together with the first
+counterexample.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -85,16 +86,6 @@ class SizeBudget:
     max_inner: int = 3
     max_oracle_support: int = 4
 
-    def to_json(self):
-        return {
-            "max_points": self.max_points,
-            "max_factor_points": self.max_factor_points,
-            "max_quad_points": self.max_quad_points,
-            "max_numerator": self.max_numerator,
-            "max_inner": self.max_inner,
-            "max_oracle_support": self.max_oracle_support,
-        }
-
 
 DEFAULT_BUDGET = SizeBudget()
 
@@ -115,52 +106,80 @@ class LawCatalogEntry:
     expected_counterexample: bool = False
 
 
-def _weights_json(m: Measure):
-    return {
-        jsonio.label_key(p): jsonio.format_fraction(w)
-        for p, w in zip(m.space.points, m.weights)
-    }
+CATALOG: dict[str, LawCatalogEntry] = {}
 
 
-def _pair_json(pair):
-    return [_weights_json(m) for m in pair]
+def law(law_id, statement, generate, expected_counterexample=False):
+    """Register the decorated checker in :data:`CATALOG` under ``law_id``."""
+
+    def register(check):
+        if law_id in CATALOG:
+            raise ValueError(f"law {law_id!r} is declared twice")
+        CATALOG[law_id] = LawCatalogEntry(
+            law_id, statement, generate, check, expected_counterexample
+        )
+        return check
+
+    return register
 
 
-def _frac(x) -> str:
-    return jsonio.format_fraction(x)
+def _side_json(side):
+    """One side of a law in report form.
+
+    A measure becomes its weights by point label, a rational "p/q", and a
+    tuple or list a list; booleans, strings and None pass through.
+    """
+    if isinstance(side, Measure):
+        return {
+            jsonio.label_key(p): jsonio.format_fraction(w)
+            for p, w in zip(side.space.points, side.weights)
+        }
+    if isinstance(side, (tuple, list)):
+        return [_side_json(s) for s in side]
+    if isinstance(side, (Fraction, int)) and not isinstance(side, bool):
+        return jsonio.format_fraction(side)
+    return side
+
+
+def _spaces(rng, max_points, prefixes):
+    return tuple(random_space(rng, max_points=max_points, prefix=p) for p in prefixes)
 
 
 def _space_pair(rng, budget):
-    k = budget.max_factor_points
-    return (
-        random_space(rng, max_points=k, prefix="a"),
-        random_space(rng, max_points=k, prefix="b"),
-    )
+    return _spaces(rng, budget.max_factor_points, "ab")
 
 
-def _space_quad(rng, budget):
-    k = budget.max_quad_points
-    return tuple(
-        random_space(rng, max_points=k, prefix=p) for p in ("w", "x", "y", "z")
-    )
+def _space_triple(rng, budget):
+    return _spaces(rng, max(2, budget.max_factor_points - 1), "abc")
+
+
+def _space_four(rng, budget):
+    return _spaces(rng, budget.max_factor_points, "abcd")
+
+
+def _measures(rng, budget, **spaces):
+    """One random measure per keyword, on its space, drawn in keyword order."""
+    return {name: random_measure(rng, x, budget.max_numerator) for name, x in spaces.items()}
 
 
 # ---------------------------------------------------------------------------
-# Generators and checkers, one pair per catalog entry.
+# Generators, and the checkers they feed; each checker registers one law.
 
 
 def _gen_measure_pair_on_factors(rng, budget):
     x, y = _space_pair(rng, budget)
-    return {
-        "p": random_measure(rng, x, budget.max_numerator),
-        "q": random_measure(rng, y, budget.max_numerator),
-    }
+    return _measures(rng, budget, p=x, q=y)
 
 
+@law(
+    "marginals_of_product_identity",
+    "marginals(product(p, q)) == (p, q)",
+    _gen_measure_pair_on_factors,
+)
 def _check_marginals_of_product(inst):
     p, q = inst["p"], inst["q"]
     got = marginals(product(p, q))
-    return CheckOutcome(got == (p, q), _pair_json(got), _pair_json((p, q)))
+    return CheckOutcome(got == (p, q), got, (p, q))
 
 
 def _gen_correlated_witness(rng, budget):
@@ -172,64 +191,92 @@ def _gen_correlated_witness(rng, budget):
     return {"r": r}
 
 
+@law(
+    "product_of_marginals_not_identity",
+    "the correlated uniform pair is not the product of its marginals",
+    _gen_correlated_witness,
+    expected_counterexample=True,
+)
 def _check_correlated_witness(inst):
     r = inst["r"]
     back = product(*marginals(r))
     quarter = all(w == Fraction(1, 4) for w in back.weights)
     found = quarter and back != r and not is_independent(r)
-    return CheckOutcome(found, _weights_json(back), _weights_json(r))
+    return CheckOutcome(found, back, r)
 
 
 def _gen_isometry(rng, budget):
     x, y = _space_pair(rng, budget)
-    return {
-        "p": random_measure(rng, x, budget.max_numerator),
-        "p2": random_measure(rng, x, budget.max_numerator),
-        "q": random_measure(rng, y, budget.max_numerator),
-        "q2": random_measure(rng, y, budget.max_numerator),
-    }
+    return _measures(rng, budget, p=x, p2=x, q=y, q2=y)
 
 
+@law("product_isometry", "W1(p x q, p' x q') == W1(p, p') + W1(q, q')", _gen_isometry)
 def _check_isometry(inst):
     p, p2, q, q2 = inst["p"], inst["p2"], inst["q"], inst["q2"]
     lhs = wasserstein_distance(product(p, q), product(p2, q2))
     rhs = wasserstein_distance(p, p2) + wasserstein_distance(q, q2)
-    return CheckOutcome(lhs == rhs, _frac(lhs), _frac(rhs))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 def _gen_joint_pair(rng, budget):
     x, y = _space_pair(rng, budget)
     xy = tensor(x, y)
-    return {
-        "r": random_measure(rng, xy, budget.max_numerator),
-        "r2": random_measure(rng, xy, budget.max_numerator),
-    }
+    return _measures(rng, budget, r=xy, r2=xy)
 
 
+@law("marginals_short", "W1(r_X, r'_X) + W1(r_Y, r'_Y) <= W1(r, r')", _gen_joint_pair)
 def _check_marginals_short(inst):
     r, r2 = inst["r"], inst["r2"]
     rx, ry = marginals(r)
     sx, sy = marginals(r2)
     lhs = wasserstein_distance(rx, sx) + wasserstein_distance(ry, sy)
     rhs = wasserstein_distance(r, r2)
-    return CheckOutcome(lhs <= rhs, _frac(lhs), _frac(rhs))
+    return CheckOutcome(lhs <= rhs, lhs, rhs)
 
 
 def _gen_measure(rng, budget):
     x = random_space(rng, max_points=budget.max_points)
-    return {"p": random_measure(rng, x, budget.max_numerator)}
+    return _measures(rng, budget, p=x)
 
 
+@law("monad_left_unit", "expectation of the point mass at p is p", _gen_measure)
 def _check_left_unit(inst):
     p = inst["p"]
     got = expectation(unit_nested(p))
-    return CheckOutcome(got == p, _weights_json(got), _weights_json(p))
+    return CheckOutcome(got == p, got, p)
 
 
+@law("monad_right_unit", "expectation of the Dirac-image of p is p", _gen_measure)
 def _check_right_unit(inst):
     p = inst["p"]
     got = expectation(diracs_nested(p))
-    return CheckOutcome(got == p, _weights_json(got), _weights_json(p))
+    return CheckOutcome(got == p, got, p)
+
+
+@law(
+    "affine_terminal",
+    "pushing any measure to the one-point space gives its unique measure",
+    _gen_measure,
+)
+def _check_affine(inst):
+    p = inst["p"]
+    collapsed = pushforward(bang(p.space), p)
+    one = dirac(terminal(), "*")
+    return CheckOutcome(collapsed == one, collapsed, one)
+
+
+@law(
+    "product_unital",
+    "product with the one-point measure is the measure itself",
+    _gen_measure,
+)
+def _check_product_unital(inst):
+    p = inst["p"]
+    one = dirac(terminal(), "*")
+    via_right = pushforward(unitor_right(p.space), product(p, one))
+    via_left = pushforward(unitor_left(p.space), product(one, p))
+    ok = via_right == p and via_left == p
+    return CheckOutcome(ok, via_right, p)
 
 
 def _gen_double_nested(rng, budget):
@@ -240,6 +287,11 @@ def _gen_double_nested(rng, budget):
     return {"weights": list(weights), "layers": list(nesteds)}
 
 
+@law(
+    "monad_associativity",
+    "averaging inner layers first or flattening first agree",
+    _gen_double_nested,
+)
 def _check_monad_associativity(inst):
     weights = tuple(inst["weights"])
     nesteds = tuple(inst["layers"])
@@ -254,25 +306,27 @@ def _check_monad_associativity(inst):
             tuple(w * v for nu, w in zip(nesteds, weights) for v in nu.weights),
         )
     )
-    return CheckOutcome(
-        via_inner == via_flatten, _weights_json(via_inner), _weights_json(via_flatten)
-    )
+    return CheckOutcome(via_inner == via_flatten, via_inner, via_flatten)
 
 
 def _gen_nested_map(rng, budget):
-    x = random_space(rng, max_points=budget.max_factor_points + 1, prefix="a")
-    y = random_space(rng, max_points=budget.max_factor_points + 1, prefix="b")
+    x, y = _spaces(rng, budget.max_factor_points + 1, "ab")
     return {
         "f": random_short_map(rng, x, y),
         "mu": random_nested(rng, x, budget.max_inner, budget.max_numerator),
     }
 
 
+@law(
+    "expectation_naturality",
+    "expectation(pushforward_nested(f, mu)) == pushforward(f, expectation(mu))",
+    _gen_nested_map,
+)
 def _check_expectation_naturality(inst):
     f, mu = inst["f"], inst["mu"]
     lhs = expectation(pushforward_nested(f, mu))
     rhs = pushforward(f, expectation(mu))
-    return CheckOutcome(lhs == rhs, _weights_json(lhs), _weights_json(rhs))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 def _gen_nested_pair_on_factors(rng, budget):
@@ -283,6 +337,11 @@ def _gen_nested_pair_on_factors(rng, budget):
     }
 
 
+@law(
+    "expectation_product",
+    "averaging the product of nestings equals the product of the averages",
+    _gen_nested_pair_on_factors,
+)
 def _check_expectation_product(inst):
     mu, nu = inst["mu"], inst["nu"]
     joint_space = tensor(mu.base, nu.base)
@@ -293,7 +352,7 @@ def _check_expectation_product(inst):
     )
     lhs = expectation(doubled)
     rhs = product(expectation(mu), expectation(nu))
-    return CheckOutcome(lhs == rhs, _weights_json(lhs), _weights_json(rhs))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 def _gen_nested_joint(rng, budget):
@@ -302,6 +361,11 @@ def _gen_nested_joint(rng, budget):
     return {"mu": random_nested(rng, xy, budget.max_inner, budget.max_numerator)}
 
 
+@law(
+    "expectation_marginals",
+    "marginals of the average equal the averages of the marginals",
+    _gen_nested_joint,
+)
 def _check_expectation_marginals(inst):
     mu = inst["mu"]
     x, y = mu.base.factors
@@ -311,7 +375,7 @@ def _check_expectation_marginals(inst):
         expectation(NestedMeasure(x, tuple(s[0] for s in split), mu.weights)),
         expectation(NestedMeasure(y, tuple(s[1] for s in split), mu.weights)),
     )
-    return CheckOutcome(lhs == rhs, _pair_json(lhs), _pair_json(rhs))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 def _gen_nested_same_base(rng, budget):
@@ -322,38 +386,46 @@ def _gen_nested_same_base(rng, budget):
     }
 
 
+@law(
+    "expectation_short",
+    "W1(E(mu), E(nu)) <= W1 between mu and nu one level up",
+    _gen_nested_same_base,
+)
 def _check_expectation_short(inst):
     mu, nu = inst["mu"], inst["nu"]
     lhs = wasserstein_distance(expectation(mu), expectation(nu))
     rhs = nested_distance(mu, nu)
-    return CheckOutcome(lhs <= rhs, _frac(lhs), _frac(rhs))
+    return CheckOutcome(lhs <= rhs, lhs, rhs)
 
 
 def _gen_measure_pair(rng, budget):
     x = random_space(rng, max_points=budget.max_points)
-    return {
-        "p": random_measure(rng, x, budget.max_numerator),
-        "q": random_measure(rng, x, budget.max_numerator),
-    }
+    return _measures(rng, budget, p=x, q=x)
 
 
+@law(
+    "kantorovich_duality",
+    "primal optimal cost equals the dual witness value exactly",
+    _gen_measure_pair,
+)
 def _check_duality(inst):
     p, q = inst["p"], inst["q"]
     cost, plan, witness = wasserstein(p, q)
     attained = integrate(witness.potential, p) - integrate(witness.potential, q)
     ok = attained == cost == plan.cost
-    return CheckOutcome(ok, _frac(cost), _frac(attained))
+    return CheckOutcome(ok, cost, attained)
 
 
 def _gen_measure_triple(rng, budget):
     x = random_space(rng, max_points=budget.max_points)
-    return {
-        "p": random_measure(rng, x, budget.max_numerator),
-        "q": random_measure(rng, x, budget.max_numerator),
-        "r": random_measure(rng, x, budget.max_numerator),
-    }
+    return _measures(rng, budget, p=x, q=x, r=x)
 
 
+@law(
+    "wasserstein_metric_axioms",
+    "W1 is symmetric, triangular, and zero exactly on equal measures",
+    _gen_measure_triple,
+)
 def _check_metric_axioms(inst):
     p, q, r = inst["p"], inst["q"], inst["r"]
     pq = wasserstein_distance(p, q)
@@ -361,7 +433,7 @@ def _check_metric_axioms(inst):
     pr = wasserstein_distance(p, r)
     qr = wasserstein_distance(q, r)
     ok = pq == qp and pr <= pq + qr and (pq == 0) == (p == q)
-    return CheckOutcome(ok, _frac(pq), _frac(qp))
+    return CheckOutcome(ok, pq, qp)
 
 
 def _gen_oracle(rng, budget):
@@ -373,19 +445,20 @@ def _gen_oracle(rng, budget):
     }
 
 
+@law(
+    "oracle_equivalence",
+    "network simplex equals brute-force vertex enumeration",
+    _gen_oracle,
+)
 def _check_oracle(inst):
     p, q = inst["p"], inst["q"]
     fast = wasserstein_distance(p, q)
     slow = wasserstein_oracle(p, q)
-    return CheckOutcome(fast == slow, _frac(fast), _frac(slow))
+    return CheckOutcome(fast == slow, fast, slow)
 
 
 def _gen_map_pair_measures(rng, budget):
-    k = budget.max_factor_points
-    x = random_space(rng, max_points=k, prefix="a")
-    y = random_space(rng, max_points=k, prefix="b")
-    z = random_space(rng, max_points=k, prefix="c")
-    w = random_space(rng, max_points=k, prefix="d")
+    x, y, z, w = _space_four(rng, budget)
     return {
         "f": random_short_map(rng, x, z),
         "g": random_short_map(rng, y, w),
@@ -394,19 +467,20 @@ def _gen_map_pair_measures(rng, budget):
     }
 
 
+@law(
+    "product_naturality",
+    "pushforward(f x g, product(p, q)) == product(pushforward(f, p), pushforward(g, q))",
+    _gen_map_pair_measures,
+)
 def _check_product_naturality(inst):
     f, g, p, q = inst["f"], inst["g"], inst["p"], inst["q"]
     lhs = pushforward(tensor_map(f, g), product(p, q))
     rhs = product(pushforward(f, p), pushforward(g, q))
-    return CheckOutcome(lhs == rhs, _weights_json(lhs), _weights_json(rhs))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 def _gen_map_pair_joint(rng, budget):
-    k = budget.max_factor_points
-    x = random_space(rng, max_points=k, prefix="a")
-    y = random_space(rng, max_points=k, prefix="b")
-    z = random_space(rng, max_points=k, prefix="c")
-    w = random_space(rng, max_points=k, prefix="d")
+    x, y, z, w = _space_four(rng, budget)
     return {
         "f": random_short_map(rng, x, z),
         "g": random_short_map(rng, y, w),
@@ -414,17 +488,21 @@ def _gen_map_pair_joint(rng, budget):
     }
 
 
+@law(
+    "marginals_naturality",
+    "marginals(pushforward(f x g, r)) == (pushforward(f, r_X), pushforward(g, r_Y))",
+    _gen_map_pair_joint,
+)
 def _check_marginals_naturality(inst):
     f, g, r = inst["f"], inst["g"], inst["r"]
     rx, ry = marginals(r)
     lhs = marginals(pushforward(tensor_map(f, g), r))
     rhs = (pushforward(f, rx), pushforward(g, ry))
-    return CheckOutcome(lhs == rhs, _pair_json(lhs), _pair_json(rhs))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 def _gen_map_measures_same(rng, budget):
-    x = random_space(rng, max_points=budget.max_points, prefix="a")
-    y = random_space(rng, max_points=budget.max_points, prefix="b")
+    x, y = _spaces(rng, budget.max_points, "ab")
     return {
         "f": random_short_map(rng, x, y),
         "p": random_measure(rng, x, budget.max_numerator),
@@ -432,11 +510,16 @@ def _gen_map_measures_same(rng, budget):
     }
 
 
+@law(
+    "pushforward_contraction",
+    "W1(f_* p, f_* q) <= W1(p, q) for short f",
+    _gen_map_measures_same,
+)
 def _check_pushforward_contraction(inst):
     f, p, q = inst["f"], inst["p"], inst["q"]
     lhs = wasserstein_distance(pushforward(f, p), pushforward(f, q))
     rhs = wasserstein_distance(p, q)
-    return CheckOutcome(lhs <= rhs, _frac(lhs), _frac(rhs))
+    return CheckOutcome(lhs <= rhs, lhs, rhs)
 
 
 def _gen_point_pair(rng, budget):
@@ -449,18 +532,20 @@ def _gen_point_pair(rng, budget):
     }
 
 
+@law("dirac_product", "product(dirac(x), dirac(y)) == dirac((x, y))", _gen_point_pair)
 def _check_dirac_product(inst):
     x, y = inst["xspace"], inst["yspace"]
     lhs = product(dirac(x, inst["x"]), dirac(y, inst["y"]))
     rhs = dirac(tensor(x, y), (inst["x"], inst["y"]))
-    return CheckOutcome(lhs == rhs, _weights_json(lhs), _weights_json(rhs))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
+@law("dirac_marginals", "marginals(dirac((x, y))) == (dirac(x), dirac(y))", _gen_point_pair)
 def _check_dirac_marginals(inst):
     x, y = inst["xspace"], inst["yspace"]
     lhs = marginals(dirac(tensor(x, y), (inst["x"], inst["y"])))
     rhs = (dirac(x, inst["x"]), dirac(y, inst["y"]))
-    return CheckOutcome(lhs == rhs, _pair_json(lhs), _pair_json(rhs))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 def _gen_point_and_measure(rng, budget):
@@ -472,53 +557,60 @@ def _gen_point_and_measure(rng, budget):
     }
 
 
+@law(
+    "strength_marginals",
+    "dirac(x) x q has marginals (dirac(x), q) and braids to q x dirac(x)",
+    _gen_point_and_measure,
+)
 def _check_strength(inst):
     x, pt, q = inst["xspace"], inst["x"], inst["q"]
     st = strength(pt, q, x)
-    ok_marg = marginals(st) == (dirac(x, pt), q)
+    split = marginals(st)
     swapped = pushforward(braiding(x, q.space), st)
-    ok_braid = swapped == product(q, dirac(x, pt))
-    return CheckOutcome(
-        ok_marg and ok_braid, _pair_json(marginals(st)), _weights_json(swapped)
-    )
+    ok = split == (dirac(x, pt), q) and swapped == product(q, dirac(x, pt))
+    return CheckOutcome(ok, split, swapped)
 
 
 def _gen_product_triple(rng, budget):
-    k = max(2, budget.max_factor_points - 1)
-    x = random_space(rng, max_points=k, prefix="a")
-    y = random_space(rng, max_points=k, prefix="b")
-    z = random_space(rng, max_points=k, prefix="c")
-    return {
-        "p": random_measure(rng, x, budget.max_numerator),
-        "q": random_measure(rng, y, budget.max_numerator),
-        "r": random_measure(rng, z, budget.max_numerator),
-    }
+    x, y, z = _space_triple(rng, budget)
+    return _measures(rng, budget, p=x, q=y, r=z)
 
 
+@law(
+    "product_associative",
+    "left-nested and right-nested products agree under re-association",
+    _gen_product_triple,
+)
 def _check_product_associative(inst):
     p, q, r = inst["p"], inst["q"], inst["r"]
     left = product(product(p, q), r)
     reassoc = pushforward(associator(p.space, q.space, r.space), left)
     right = product(p, product(q, r))
-    return CheckOutcome(reassoc == right, _weights_json(reassoc), _weights_json(right))
+    return CheckOutcome(reassoc == right, reassoc, right)
 
 
+@law(
+    "family_independence",
+    "an n-fold product is independent as a family, with the factors as marginals",
+    _gen_product_triple,
+)
 def _check_family_independence(inst):
     ms = [inst["p"], inst["q"], inst["r"]]
     joint = product_n(ms)
     ok = is_independent_family(joint, 3) and marginals_n(joint, 3) == ms
-    return CheckOutcome(ok, _weights_json(joint), _pair_json(tuple(ms)))
+    return CheckOutcome(ok, joint, ms)
 
 
 def _gen_triple_joint(rng, budget):
-    k = max(2, budget.max_factor_points - 1)
-    x = random_space(rng, max_points=k, prefix="a")
-    y = random_space(rng, max_points=k, prefix="b")
-    z = random_space(rng, max_points=k, prefix="c")
-    xyz = tensor(tensor(x, y), z)
-    return {"r": random_measure(rng, xyz, budget.max_numerator)}
+    x, y, z = _space_triple(rng, budget)
+    return _measures(rng, budget, r=tensor(tensor(x, y), z))
 
 
+@law(
+    "marginals_coassociative",
+    "the three marginals agree whichever pairing is split first",
+    _gen_triple_joint,
+)
 def _check_marginals_coassociative(inst):
     r = inst["r"]
     xy, z = r.space.factors
@@ -528,21 +620,21 @@ def _check_marginals_coassociative(inst):
     shifted = pushforward(associator(x, y, z), r)
     rx2, ryz = marginals(shifted)
     ry2, rz2 = marginals(ryz)
-    ok = (rx, ry, rz) == (rx2, ry2, rz2)
-    return CheckOutcome(
-        ok, _pair_json((rx, ry)) + [_weights_json(rz)],
-        _pair_json((rx2, ry2)) + [_weights_json(rz2)],
-    )
+    lhs, rhs = (rx, ry, rz), (rx2, ry2, rz2)
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 def _gen_unit_joint(rng, budget):
     x = random_space(rng, max_points=budget.max_points)
     one = terminal()
-    right = random_measure(rng, tensor(x, one), budget.max_numerator)
-    left = random_measure(rng, tensor(one, x), budget.max_numerator)
-    return {"right": right, "left": left}
+    return _measures(rng, budget, right=tensor(x, one), left=tensor(one, x))
 
 
+@law(
+    "marginals_counital",
+    "marginals against the one-point factor return the measure itself",
+    _gen_unit_joint,
+)
 def _check_marginals_counital(inst):
     right, left = inst["right"], inst["left"]
     x = right.space.factors[0]
@@ -551,78 +643,69 @@ def _check_marginals_counital(inst):
     x2 = left.space.factors[1]
     l1, lx = marginals(left)
     ok_left = lx == pushforward(unitor_left(x2), left) and l1.weights == (1,)
-    return CheckOutcome(
-        ok_right and ok_left, _weights_json(rx), _weights_json(lx)
-    )
-
-
-def _gen_product_unital(rng, budget):
-    x = random_space(rng, max_points=budget.max_points)
-    return {"p": random_measure(rng, x, budget.max_numerator)}
-
-
-def _check_product_unital(inst):
-    p = inst["p"]
-    one = dirac(terminal(), "*")
-    via_right = pushforward(unitor_right(p.space), product(p, one))
-    via_left = pushforward(unitor_left(p.space), product(one, p))
-    ok = via_right == p and via_left == p
-    return CheckOutcome(ok, _weights_json(via_right), _weights_json(p))
+    return CheckOutcome(ok_right and ok_left, rx, lx)
 
 
 def _gen_braiding(rng, budget):
     x, y = _space_pair(rng, budget)
-    return {
-        "p": random_measure(rng, x, budget.max_numerator),
-        "q": random_measure(rng, y, budget.max_numerator),
-        "r": random_measure(rng, tensor(x, y), budget.max_numerator),
-    }
+    return _measures(rng, budget, p=x, q=y, r=tensor(x, y))
 
 
+@law(
+    "product_braiding",
+    "pushing product(p, q) along the braiding gives product(q, p)",
+    _gen_braiding,
+)
 def _check_product_braiding(inst):
     p, q = inst["p"], inst["q"]
     lhs = pushforward(braiding(p.space, q.space), product(p, q))
     rhs = product(q, p)
-    return CheckOutcome(lhs == rhs, _weights_json(lhs), _weights_json(rhs))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
+@law("marginals_braiding", "marginals commute with the braiding swap", _gen_braiding)
 def _check_marginals_braiding(inst):
     r = inst["r"]
     x, y = r.space.factors
     rx, ry = marginals(r)
-    swapped = pushforward(braiding(x, y), r)
-    lhs = marginals(swapped)
-    return CheckOutcome(lhs == (ry, rx), _pair_json(lhs), _pair_json((ry, rx)))
+    lhs = marginals(pushforward(braiding(x, y), r))
+    return CheckOutcome(lhs == (ry, rx), lhs, (ry, rx))
 
 
 def _gen_quad_joints(rng, budget):
-    w, x, y, z = _space_quad(rng, budget)
-    return {
-        "p": random_measure(rng, tensor(w, x), budget.max_numerator),
-        "q": random_measure(rng, tensor(y, z), budget.max_numerator),
-    }
+    w, x, y, z = _spaces(rng, budget.max_quad_points, "wxyz")
+    return _measures(rng, budget, p=tensor(w, x), q=tensor(y, z))
 
 
+def _interchanged_marginals(p, q):
+    """Marginals on (w x y, x z) of product(p, q), for p on w x x and q on y x z."""
+    w, x = p.space.factors
+    y, z = q.space.factors
+    return marginals(pushforward(middle_interchange(w, x, y, z), product(p, q)))
+
+
+@law(
+    "bimonoidality_square",
+    "middle-interchanged product of joints has the paired products as marginals",
+    _gen_quad_joints,
+)
 def _check_bimonoidality(inst):
     p, q = inst["p"], inst["q"]
-    w, x = p.space.factors
-    y, z = q.space.factors
-    shuffled = pushforward(middle_interchange(w, x, y, z), product(p, q))
-    wy, xz = marginals(shuffled)
+    lhs = _interchanged_marginals(p, q)
     pw, px = marginals(p)
     qy, qz = marginals(q)
-    ok = wy == product(pw, qy) and xz == product(px, qz)
-    return CheckOutcome(ok, _pair_json((wy, xz)), _pair_json((product(pw, qy), product(px, qz))))
+    rhs = (product(pw, qy), product(px, qz))
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
+@law(
+    "decomposition_independence",
+    "marginals of a product of joints are independent pairs",
+    _gen_quad_joints,
+)
 def _check_decomposition(inst):
-    p, q = inst["p"], inst["q"]
-    w, x = p.space.factors
-    y, z = q.space.factors
-    shuffled = pushforward(middle_interchange(w, x, y, z), product(p, q))
-    wy, xz = marginals(shuffled)
-    ok = is_independent(wy) and is_independent(xz)
-    return CheckOutcome(ok, _weights_json(wy), _weights_json(xz))
+    wy, xz = _interchanged_marginals(inst["p"], inst["q"])
+    return CheckOutcome(is_independent(wy) and is_independent(xz), wy, xz)
 
 
 def _gen_dirac_marginal_joint(rng, budget):
@@ -640,11 +723,14 @@ def _gen_dirac_marginal_joint(rng, budget):
     return {"r": Measure.from_mapping(xy, weights)}
 
 
+@law(
+    "dirac_marginal_independence",
+    "a joint with a deterministic marginal is independent",
+    _gen_dirac_marginal_joint,
+)
 def _check_dirac_marginal_independence(inst):
     r = inst["r"]
-    ok = is_independent(r)
-    back = product(*marginals(r))
-    return CheckOutcome(ok, _weights_json(r), _weights_json(back))
+    return CheckOutcome(is_independent(r), r, product(*marginals(r)))
 
 
 def _gen_projection_independence(rng, budget):
@@ -656,11 +742,15 @@ def _gen_projection_independence(rng, budget):
     return {"joint": joint, "arbitrary": arbitrary}
 
 
+@law(
+    "projection_independence",
+    "projections of a product law are independent observables",
+    _gen_projection_independence,
+)
 def _check_projection_independence(inst):
     joint, arbitrary = inst["joint"], inst["arbitrary"]
     x, y = joint.space.factors
-    law = Law(joint.space, joint)
-    ok_product = independent_maps(law, proj1(x, y), proj2(x, y))
+    ok_product = independent_maps(Law(joint.space, joint), proj1(x, y), proj2(x, y))
     other = Law(arbitrary.space, arbitrary)
     ok_trivial = independent_maps(other, proj1(x, y), bang(arbitrary.space))
     return CheckOutcome(ok_product and ok_trivial, ok_product, ok_trivial)
@@ -668,14 +758,14 @@ def _check_projection_independence(inst):
 
 def _gen_convolution(rng, budget):
     m = random_monoid(rng)
-    return {
-        "monoid": m,
-        "p": random_measure(rng, m.carrier, budget.max_numerator),
-        "q": random_measure(rng, m.carrier, budget.max_numerator),
-        "r": random_measure(rng, m.carrier, budget.max_numerator),
-    }
+    return {"monoid": m, **_measures(rng, budget, p=m.carrier, q=m.carrier, r=m.carrier)}
 
 
+@law(
+    "convolution_monoid",
+    "convolve is associative with unit dirac(monoid unit)",
+    _gen_convolution,
+)
 def _check_convolution_monoid(inst):
     m, p, q, r = inst["monoid"], inst["p"], inst["q"], inst["r"]
     assoc_l = convolve(convolve(p, q, m), r, m)
@@ -686,21 +776,7 @@ def _check_convolution_monoid(inst):
         and convolve(e, p, m) == p
         and convolve(p, e, m) == p
     )
-    return CheckOutcome(ok, _weights_json(assoc_l), _weights_json(assoc_r))
-
-
-def _gen_affine(rng, budget):
-    x = random_space(rng, max_points=budget.max_points)
-    return {"p": random_measure(rng, x, budget.max_numerator)}
-
-
-def _check_affine(inst):
-    p = inst["p"]
-    collapsed = pushforward(bang(p.space), p)
-    one = dirac(terminal(), "*")
-    return CheckOutcome(
-        collapsed == one, _weights_json(collapsed), _weights_json(one)
-    )
+    return CheckOutcome(ok, assoc_l, assoc_r)
 
 
 def _gen_partial_integral(rng, budget):
@@ -713,21 +789,21 @@ def _gen_partial_integral(rng, budget):
     }
 
 
+@law(
+    "partial_integral_short",
+    "integrating out one tensor coordinate leaves a short functional",
+    _gen_partial_integral,
+)
 def _check_partial_integral(inst):
     f, p, pt = inst["f"], inst["p"], inst["x"]
     try:
-        averaged = partial_integral(f, p)
+        partial_integral(f, p)
     except ValueError as exc:
         return CheckOutcome(False, str(exc), None)
     x, y = f.domain.factors
     slice_at = partial_integral(f, dirac(x, pt))
     expected = tuple(f((pt, ypt)) for ypt in y.points)
-    ok = slice_at.values == expected
-    return CheckOutcome(
-        ok,
-        [_frac(v) for v in slice_at.values],
-        [_frac(v) for v in expected],
-    )
+    return CheckOutcome(slice_at.values == expected, slice_at.values, expected)
 
 
 def _gen_sum_functional(rng, budget):
@@ -740,6 +816,11 @@ def _gen_sum_functional(rng, budget):
     }
 
 
+@law(
+    "sum_functional_short",
+    "f(x) + g(y) is short on the tensor and integrates factorwise",
+    _gen_sum_functional,
+)
 def _check_sum_functional(inst):
     f, g, p, q = inst["f"], inst["g"], inst["p"], inst["q"]
     try:
@@ -748,229 +829,7 @@ def _check_sum_functional(inst):
         return CheckOutcome(False, str(exc), None)
     lhs = integrate(combined, product(p, q))
     rhs = integrate(f, p) + integrate(g, q)
-    return CheckOutcome(lhs == rhs, _frac(lhs), _frac(rhs))
-
-
-def _entry(law_id, statement, generate, check, expected_counterexample=False):
-    return LawCatalogEntry(law_id, statement, generate, check, expected_counterexample)
-
-
-CATALOG = {
-    e.id: e
-    for e in [
-        _entry(
-            "affine_terminal",
-            "pushing any measure to the one-point space gives its unique measure",
-            _gen_affine,
-            _check_affine,
-        ),
-        _entry(
-            "bimonoidality_square",
-            "middle-interchanged product of joints has the paired products as marginals",
-            _gen_quad_joints,
-            _check_bimonoidality,
-        ),
-        _entry(
-            "convolution_monoid",
-            "convolve is associative with unit dirac(monoid unit)",
-            _gen_convolution,
-            _check_convolution_monoid,
-        ),
-        _entry(
-            "decomposition_independence",
-            "marginals of a product of joints are independent pairs",
-            _gen_quad_joints,
-            _check_decomposition,
-        ),
-        _entry(
-            "dirac_marginal_independence",
-            "a joint with a deterministic marginal is independent",
-            _gen_dirac_marginal_joint,
-            _check_dirac_marginal_independence,
-        ),
-        _entry(
-            "dirac_marginals",
-            "marginals(dirac((x, y))) == (dirac(x), dirac(y))",
-            _gen_point_pair,
-            _check_dirac_marginals,
-        ),
-        _entry(
-            "dirac_product",
-            "product(dirac(x), dirac(y)) == dirac((x, y))",
-            _gen_point_pair,
-            _check_dirac_product,
-        ),
-        _entry(
-            "expectation_marginals",
-            "marginals of the average equal the averages of the marginals",
-            _gen_nested_joint,
-            _check_expectation_marginals,
-        ),
-        _entry(
-            "expectation_naturality",
-            "expectation(pushforward_nested(f, mu)) == pushforward(f, expectation(mu))",
-            _gen_nested_map,
-            _check_expectation_naturality,
-        ),
-        _entry(
-            "expectation_product",
-            "averaging the product of nestings equals the product of the averages",
-            _gen_nested_pair_on_factors,
-            _check_expectation_product,
-        ),
-        _entry(
-            "expectation_short",
-            "W1(E(mu), E(nu)) <= W1 between mu and nu one level up",
-            _gen_nested_same_base,
-            _check_expectation_short,
-        ),
-        _entry(
-            "family_independence",
-            "an n-fold product is independent as a family, with the factors as marginals",
-            _gen_product_triple,
-            _check_family_independence,
-        ),
-        _entry(
-            "kantorovich_duality",
-            "primal optimal cost equals the dual witness value exactly",
-            _gen_measure_pair,
-            _check_duality,
-        ),
-        _entry(
-            "marginals_braiding",
-            "marginals commute with the braiding swap",
-            _gen_braiding,
-            _check_marginals_braiding,
-        ),
-        _entry(
-            "marginals_coassociative",
-            "the three marginals agree whichever pairing is split first",
-            _gen_triple_joint,
-            _check_marginals_coassociative,
-        ),
-        _entry(
-            "marginals_counital",
-            "marginals against the one-point factor return the measure itself",
-            _gen_unit_joint,
-            _check_marginals_counital,
-        ),
-        _entry(
-            "marginals_naturality",
-            "marginals(pushforward(f x g, r)) == (pushforward(f, r_X), pushforward(g, r_Y))",
-            _gen_map_pair_joint,
-            _check_marginals_naturality,
-        ),
-        _entry(
-            "marginals_of_product_identity",
-            "marginals(product(p, q)) == (p, q)",
-            _gen_measure_pair_on_factors,
-            _check_marginals_of_product,
-        ),
-        _entry(
-            "marginals_short",
-            "W1(r_X, r'_X) + W1(r_Y, r'_Y) <= W1(r, r')",
-            _gen_joint_pair,
-            _check_marginals_short,
-        ),
-        _entry(
-            "monad_associativity",
-            "averaging inner layers first or flattening first agree",
-            _gen_double_nested,
-            _check_monad_associativity,
-        ),
-        _entry(
-            "monad_left_unit",
-            "expectation of the point mass at p is p",
-            _gen_measure,
-            _check_left_unit,
-        ),
-        _entry(
-            "monad_right_unit",
-            "expectation of the Dirac-image of p is p",
-            _gen_measure,
-            _check_right_unit,
-        ),
-        _entry(
-            "oracle_equivalence",
-            "network simplex equals brute-force vertex enumeration",
-            _gen_oracle,
-            _check_oracle,
-        ),
-        _entry(
-            "partial_integral_short",
-            "integrating out one tensor coordinate leaves a short functional",
-            _gen_partial_integral,
-            _check_partial_integral,
-        ),
-        _entry(
-            "product_associative",
-            "left-nested and right-nested products agree under re-association",
-            _gen_product_triple,
-            _check_product_associative,
-        ),
-        _entry(
-            "product_braiding",
-            "pushing product(p, q) along the braiding gives product(q, p)",
-            _gen_braiding,
-            _check_product_braiding,
-        ),
-        _entry(
-            "product_isometry",
-            "W1(p x q, p' x q') == W1(p, p') + W1(q, q')",
-            _gen_isometry,
-            _check_isometry,
-        ),
-        _entry(
-            "product_naturality",
-            "pushforward(f x g, product(p, q)) == product(pushforward(f, p), pushforward(g, q))",
-            _gen_map_pair_measures,
-            _check_product_naturality,
-        ),
-        _entry(
-            "product_of_marginals_not_identity",
-            "the correlated uniform pair is not the product of its marginals",
-            _gen_correlated_witness,
-            _check_correlated_witness,
-            expected_counterexample=True,
-        ),
-        _entry(
-            "product_unital",
-            "product with the one-point measure is the measure itself",
-            _gen_product_unital,
-            _check_product_unital,
-        ),
-        _entry(
-            "projection_independence",
-            "projections of a product law are independent observables",
-            _gen_projection_independence,
-            _check_projection_independence,
-        ),
-        _entry(
-            "pushforward_contraction",
-            "W1(f_* p, f_* q) <= W1(p, q) for short f",
-            _gen_map_measures_same,
-            _check_pushforward_contraction,
-        ),
-        _entry(
-            "strength_marginals",
-            "dirac(x) x q has marginals (dirac(x), q) and braids to q x dirac(x)",
-            _gen_point_and_measure,
-            _check_strength,
-        ),
-        _entry(
-            "sum_functional_short",
-            "f(x) + g(y) is short on the tensor and integrates factorwise",
-            _gen_sum_functional,
-            _check_sum_functional,
-        ),
-        _entry(
-            "wasserstein_metric_axioms",
-            "W1 is symmetric, triangular, and zero exactly on equal measures",
-            _gen_measure_triple,
-            _check_metric_axioms,
-        ),
-    ]
-}
+    return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 @dataclass
@@ -990,7 +849,7 @@ class LawReport:
             "schema_version": SCHEMA_VERSION,
             "seed": self.seed,
             "cases": self.cases,
-            "budget": self.budget.to_json(),
+            "budget": asdict(self.budget),
             "all_passed": self.all_passed(),
             "laws": self.entries,
         }
@@ -1018,8 +877,8 @@ def run_law(law_id: str, seed: int, cases: int, budget: SizeBudget = DEFAULT_BUD
             if first is None:
                 first = {
                     "instance": jsonio.instance_to_json(instance),
-                    "lhs": outcome.lhs,
-                    "rhs": outcome.rhs,
+                    "lhs": _side_json(outcome.lhs),
+                    "rhs": _side_json(outcome.rhs),
                 }
     if entry.expected_counterexample:
         status = "expected-counterexample found" if failures == 0 else "fail"
@@ -1059,7 +918,8 @@ def check_law(law_id: str, instance) -> CheckOutcome:
     """Replay a single serialized instance against one law.
 
     ``instance`` is either a dict of live objects or their typed JSON form,
-    as found under ``first_counterexample.instance`` in a report.
+    as found under ``first_counterexample.instance`` in a report. Both sides
+    of the returned outcome are in the report's JSON form.
     """
     entry = CATALOG.get(law_id)
     if entry is None:
@@ -1068,4 +928,5 @@ def check_law(law_id: str, instance) -> CheckOutcome:
         isinstance(v, dict) and "type" in v for v in instance.values()
     ):
         instance = jsonio.instance_from_json(instance)
-    return entry.check(instance)
+    outcome = entry.check(instance)
+    return CheckOutcome(outcome.ok, _side_json(outcome.lhs), _side_json(outcome.rhs))

@@ -97,15 +97,28 @@ def terminal() -> FinMetricSpace:
     return FinMetricSpace((TERMINAL_POINT,), ((Fraction(0),),))
 
 
-@lru_cache(maxsize=1024)
+def _shape(space: FinMetricSpace):
+    """The factor tree of a space: None for a plain space, else a pair of trees."""
+    if space.factors is None:
+        return None
+    return (_shape(space.factors[0]), _shape(space.factors[1]))
+
+
 def tensor(x: FinMetricSpace, y: FinMetricSpace) -> FinMetricSpace:
     """Product of point sets with the sum metric.
 
     d((a, b), (a', b')) = d(a, a') + d(b, b').  Points are ordered pairs in
     row-major order with the left factor outer, and the result remembers its
     factors so marginals need no inference. Results are cached: spaces are
-    immutable, so repeated tensors of equal factors share one instance.
+    immutable, so repeated tensors of equal factors share one instance. Space
+    equality ignores ``factors``, so the cache key also holds each factor's
+    factor tree; points, distances and tree together fix the factorization.
     """
+    return _tensor(x, y, _shape(x), _shape(y))
+
+
+@lru_cache(maxsize=1024)
+def _tensor(x, y, x_shape, y_shape):
     points = tuple((a, b) for a in x.points for b in y.points)
     ny = len(y)
     dist = tuple(
@@ -116,6 +129,9 @@ def tensor(x: FinMetricSpace, y: FinMetricSpace) -> FinMetricSpace:
         for i in range(len(points))
     )
     return FinMetricSpace(points, dist, factors=(x, y))
+
+
+tensor.cache_info = _tensor.cache_info
 
 
 @dataclass(frozen=True)

@@ -150,41 +150,3 @@ def nested_distance(mu: NestedMeasure, nu: NestedMeasure) -> Fraction:
 
     return wasserstein_distance(as_point_measure(mu), as_point_measure(nu))
 
-
-def monad_law_check(sample) -> list:
-    """Evaluate the monad laws on supplied instances.
-
-    ``sample`` is a mapping with keys ``measures`` (list of Measure),
-    ``nested`` (list of NestedMeasure), and ``double_nested`` (list of
-    (weights, nested measures) pairs). Returns one (name, ok, detail) triple
-    per law; failures are entries, never exceptions.
-    """
-    results = []
-
-    def record(name, ok, detail=""):
-        results.append((name, ok, detail))
-
-    for p in sample.get("measures", ()):
-        ok = expectation(unit_nested(p)) == p
-        record("left_unit", ok, "" if ok else f"averaging a point mass at {p} moved it")
-        ok = expectation(diracs_nested(p)) == p
-        record("right_unit", ok, "" if ok else f"averaging the Diracs of {p} moved it")
-
-    for weights, nesteds in sample.get("double_nested", ()):
-        base = nesteds[0].base
-        averaged_inner = NestedMeasure(
-            base, tuple(expectation(nu) for nu in nesteds), weights
-        )
-        flattened = NestedMeasure(
-            base,
-            tuple(m for nu in nesteds for m in nu.inner),
-            tuple(w * x for nu, w in zip(nesteds, weights) for x in nu.weights),
-        )
-        lhs = expectation(averaged_inner)
-        rhs = expectation(flattened)
-        record(
-            "associativity",
-            lhs == rhs,
-            "" if lhs == rhs else f"{lhs.weights} != {rhs.weights}",
-        )
-    return results

@@ -25,6 +25,8 @@ class TestFractions:
     def test_parse_accepts_both_forms(self):
         assert jsonio.parse_fraction("1/2") == Fraction(1, 2)
         assert jsonio.parse_fraction("7") == 7
+        assert jsonio.parse_fraction("-3/6") == Fraction(-1, 2)
+        assert jsonio.parse_fraction("-4") == -4
         assert jsonio.parse_fraction(3) == 3
 
     def test_parse_rejects_garbage(self):
@@ -34,6 +36,16 @@ class TestFractions:
             jsonio.parse_fraction("1/0")
         with pytest.raises(ValueError, match="rational string"):
             jsonio.parse_fraction(0.5)
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", " 1/2 ", "1_000", "+1", "1/-2", "½", ""])
+    def test_parse_rejects_outside_the_grammar(self, text):
+        with pytest.raises(ValueError, match="bad rational"):
+            jsonio.parse_fraction(text)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_parse_rejects_non_integer_json(self, value):
+        with pytest.raises(ValueError, match="rational string"):
+            jsonio.parse_fraction(value)
 
     def test_round_trip(self):
         rng = random.Random(1)
@@ -151,6 +163,16 @@ class TestErrors:
     def test_tensor_needs_two_factors(self, two_point):
         with pytest.raises(ValueError, match="two factor"):
             jsonio.space_from_json({"tensor": [jsonio.space_to_json(two_point)]})
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_bool_value_must_be_a_json_boolean(self, value):
+        with pytest.raises(ValueError, match="bad bool"):
+            jsonio.value_from_json({"type": "bool", "value": value})
+
+    @pytest.mark.parametrize("value", [True, "3", 3.0, None])
+    def test_int_value_must_be_a_json_integer(self, value):
+        with pytest.raises(ValueError, match="bad int"):
+            jsonio.value_from_json({"type": "int", "value": value})
 
     def test_unknown_value_type(self):
         with pytest.raises(ValueError, match="unknown value type"):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kantorovich import jsonio
@@ -104,3 +106,74 @@ def test_custom_budget_respected():
     report = run_suite(seed=21, cases=2, budget=tiny, law_ids=["marginals_of_product_identity"])
     assert report.all_passed()
     assert report.to_json()["budget"]["max_points"] == 2
+
+
+# sha256 digests recorded before the catalog was declared with @law; a
+# refactor of the laws module must leave both unchanged.
+SUITE_DIGEST = "08888f35eee19c91dc4e4251c0ea5217517e6a31cf3e9e84db4faaf6c0e2dfe7"
+SIDES_DIGEST = "4572c8c6e086e2528ff3cc6fb470fc3caba56d240e9b798a5cd3bdd88df77862"
+
+LAW_IDS = [
+    "affine_terminal",
+    "bimonoidality_square",
+    "convolution_monoid",
+    "decomposition_independence",
+    "dirac_marginal_independence",
+    "dirac_marginals",
+    "dirac_product",
+    "expectation_marginals",
+    "expectation_naturality",
+    "expectation_product",
+    "expectation_short",
+    "family_independence",
+    "kantorovich_duality",
+    "marginals_braiding",
+    "marginals_coassociative",
+    "marginals_counital",
+    "marginals_naturality",
+    "marginals_of_product_identity",
+    "marginals_short",
+    "monad_associativity",
+    "monad_left_unit",
+    "monad_right_unit",
+    "oracle_equivalence",
+    "partial_integral_short",
+    "product_associative",
+    "product_braiding",
+    "product_isometry",
+    "product_naturality",
+    "product_of_marginals_not_identity",
+    "product_unital",
+    "projection_independence",
+    "pushforward_contraction",
+    "strength_marginals",
+    "sum_functional_short",
+    "wasserstein_metric_axioms",
+]
+
+
+def _sha256(payload):
+    return hashlib.sha256(jsonio.dumps(payload).encode()).hexdigest()
+
+
+def test_suite_report_golden_digest():
+    assert _sha256(run_suite(seed=42, cases=5).to_json()) == SUITE_DIGEST
+
+
+def test_check_law_sides_golden_digest():
+    sides = {}
+    for law_id, entry in CATALOG.items():
+        outcome = check_law(law_id, entry.generate(_law_rng(11, law_id), DEFAULT_BUDGET))
+        sides[law_id] = [outcome.ok, outcome.lhs, outcome.rhs]
+    assert _sha256(sides) == SIDES_DIGEST
+
+
+def test_catalog_integrity():
+    assert sorted(CATALOG) == LAW_IDS
+    statements = [entry.statement for entry in CATALOG.values()]
+    assert all(statements)
+    assert len(set(statements)) == len(statements)
+    assert [e.id for e in CATALOG.values() if e.expected_counterexample] == [
+        "product_of_marginals_not_identity"
+    ]
+    assert all(law_id == entry.id for law_id, entry in CATALOG.items())

@@ -13,14 +13,17 @@ from kantorovich import (
     braiding,
     compose,
     identity,
+    marginals_n,
     mcshane_closure,
     middle_interchange,
     proj1,
     proj2,
+    product_n,
     sum_functional,
     tensor,
     tensor_map,
     terminal,
+    uniform,
     unitor_left,
     unitor_right,
 )
@@ -91,6 +94,25 @@ class TestTensor:
         for p in left.points:
             for q in left.points:
                 assert left.distance(p, q) == f.codomain.distance(f(p), f(q))
+
+    def test_cache_keeps_how_a_space_was_factored(self):
+        # labels no other test uses, so no earlier tensor call is cached
+        a = FinMetricSpace(("cache-a0", "cache-a1"), ((0, 1), (1, 0)))
+        b = FinMetricSpace(("cache-b0", "cache-b1"), ((0, 2), (2, 0)))
+        ab = tensor(a, b)
+        flat = tensor(FinMetricSpace(ab.points, ab.dist), a)
+        assert flat.factors[0].factors is None
+        joint = product_n([uniform(a), uniform(b), uniform(a)])
+        assert joint.space.factors[0].factors == (a, b)
+        assert marginals_n(joint, 3) == [uniform(a), uniform(b), uniform(a)]
+
+    def test_cache_counts_calls_and_hits(self, two_point, bit_space):
+        before = tensor.cache_info()
+        tensor(two_point, bit_space)
+        tensor(two_point, bit_space)
+        after = tensor.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 2
+        assert after.hits >= before.hits + 1
 
     def test_terminal(self):
         one = terminal()

@@ -10,7 +10,6 @@ from kantorovich import (
     diracs_nested,
     expectation,
     merge_duplicates,
-    monad_law_check,
     nested_distance,
     pushforward,
     pushforward_nested,
@@ -19,6 +18,7 @@ from kantorovich import (
     wasserstein_distance,
     wasserstein_space,
 )
+from kantorovich.laws import check_law
 from kantorovich.generate import (
     random_double_nested,
     random_measure,
@@ -128,15 +128,14 @@ class TestMonadLaws:
     def test_report_all_pass_on_random_sample(self):
         rng = random.Random(18)
         space = random_space(rng, 4)
-        sample = {
-            "measures": [random_measure(rng, space) for _ in range(5)],
-            "double_nested": [random_double_nested(rng, space) for _ in range(5)],
-        }
-        report = monad_law_check(sample)
-        assert report
-        assert all(ok for _, ok, _ in report)
-        names = {name for name, _, _ in report}
-        assert names == {"left_unit", "right_unit", "associativity"}
+        measures = [random_measure(rng, space) for _ in range(5)]
+        double_nested = [random_double_nested(rng, space) for _ in range(5)]
+        for p in measures:
+            assert check_law("monad_left_unit", {"p": p}).ok
+            assert check_law("monad_right_unit", {"p": p}).ok
+        for weights, nesteds in double_nested:
+            instance = {"weights": list(weights), "layers": list(nesteds)}
+            assert check_law("monad_associativity", instance).ok
 
     def test_naturality_of_expectation(self):
         rng = random.Random(20)

@@ -29,6 +29,11 @@ from .structure import (
 )
 from .transport import wasserstein
 
+# Most cases per law that ``laws --cases`` accepts. Every case is checked
+# exactly and a run grows linearly with the count; the 200-case runs of the
+# acceptance criteria fit well inside.
+MAX_CASES = 1000
+
 _SECTIONS = {
     "space": "spaces",
     "map": "maps",
@@ -238,6 +243,13 @@ def _cmd_pushforward(args):
 
 
 def _cmd_laws(args):
+    if args.cases > MAX_CASES:
+        print(
+            f"error: --cases {args.cases} is over the limit of {MAX_CASES} "
+            "(kantorovich.cli.MAX_CASES)",
+            file=sys.stderr,
+        )
+        return 2
     law_ids = None
     if args.law is not None:
         if args.law not in CATALOG:

@@ -23,6 +23,12 @@ Resolver = Optional[Callable[[str, str], object]]
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+# Most points a space read from JSON may have, tensor products included.
+# Building a space checks the triangle inequality over all n**3 triples in
+# exact arithmetic, so far larger inputs would run for minutes before any
+# error could be reported; sizes are checked before any rational is parsed.
+MAX_POINTS = 128
+
 
 def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
@@ -93,6 +99,14 @@ def space_to_json(space: FinMetricSpace):
     }
 
 
+def _check_size(n: int):
+    if n > MAX_POINTS:
+        raise ValueError(
+            f"space of {n} points is over the limit of {MAX_POINTS} points "
+            "(kantorovich.jsonio.MAX_POINTS)"
+        )
+
+
 def space_from_json(obj, resolver: Resolver = None) -> FinMetricSpace:
     if isinstance(obj, str):
         return _resolve("space", obj, resolver)
@@ -102,11 +116,18 @@ def space_from_json(obj, resolver: Resolver = None) -> FinMetricSpace:
         parts = obj["tensor"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise ValueError("tensor form needs exactly two factor spaces")
-        return tensor(
-            space_from_json(parts[0], resolver), space_from_json(parts[1], resolver)
-        )
-    points = [label_from_json(p) for p in obj.get("points", [])]
-    dist = [[parse_fraction(x) for x in row] for row in obj.get("dist", [])]
+        left = space_from_json(parts[0], resolver)
+        right = space_from_json(parts[1], resolver)
+        _check_size(len(left) * len(right))
+        return tensor(left, right)
+    points, dist = obj.get("points", []), obj.get("dist", [])
+    if not (isinstance(points, list) and isinstance(dist, list)) or not all(
+        isinstance(row, list) for row in dist
+    ):
+        raise ValueError("space needs a list of points and a list of dist rows")
+    _check_size(max(len(points), len(dist), *map(len, dist)))
+    points = [label_from_json(p) for p in points]
+    dist = [[parse_fraction(x) for x in row] for row in dist]
     return FinMetricSpace(tuple(points), tuple(tuple(row) for row in dist))
 
 

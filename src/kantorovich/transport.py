@@ -1,9 +1,15 @@
 """Exact Wasserstein-1 distance with primal and dual optimality certificates.
 
-The solver is a network simplex on the bipartite transportation graph, with
-Bland's rule for anti-cycling and every pivot carried out in exact rational
-arithmetic. Zero-weight points participate as nodes with zero supply and
-demand, so index bookkeeping matches the dense measure representation.
+The solver is a network simplex on the bipartite transportation graph
+between the two supports, with Bland's rule for anti-cycling. Distances and
+masses are scaled to integers over common denominators, so pricing and
+pivots run on Python ints, and the spanning tree of basic cells with its
+node potentials is kept from one pivot to the next. Zero-weight points are
+not nodes: the coupling is zero on their rows and columns, and the witness
+reaches them through its Lipschitz extension. Results become rationals
+again at the boundary, where the coupling, the shortness of the witness and
+the equality of primal and dual costs are checked in ``Fraction`` arithmetic
+on every call.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import sub
 
 from .measure import Measure, integrate
 from .metric import ShortFunctional, zero_functional
@@ -75,116 +83,112 @@ class DualWitness:
     potential: ShortFunctional
 
 
-def _northwest_basis(supplies, demands):
-    """Initial spanning-tree basis of the transportation problem.
+def _solve_transportation(costs, supplies, demands):
+    """Exact network simplex on integers; returns (basic flows, u) at optimality.
 
-    Returns a dict mapping basic cells (i, j) to their flow; the staircase
-    always contains exactly m + n - 1 cells and forms a tree even when
-    degenerate zero-flow cells appear.
+    ``costs`` is an m x k matrix of ints, and ``supplies`` and ``demands`` are
+    positive ints with equal totals. The spanning tree of basic cells starts
+    as the northwest-corner staircase, rooted at row 0, and is kept across
+    pivots as parent, depth and child arrays over the m + k nodes (rows, then
+    columns). ``flow[x]`` is the flow on the cell joining node x to its parent,
+    and ``u[i] + v[j] == costs[i][j]`` holds on every basic cell with u[0] = 0.
+    Entering cell: the first with a negative reduced cost in row-major order
+    (Bland's rule). Leaving cell: the smallest among the minus cells of the
+    pivot cycle whose flow is minimal.
     """
-    m, n = len(supplies), len(demands)
-    a = list(supplies)
-    b = list(demands)
-    flows = {}
+    m, k = len(supplies), len(demands)
+    parent = [-1] * (m + k)
+    depth = [0] * (m + k)
+    flow = [0] * (m + k)
+    children = [[] for _ in range(m + k)]
+    u = [0] * m
+    v = [0] * k
+
+    def cell(x):
+        return (x, parent[x] - m) if x < m else (parent[x], x - m)
+
+    # northwest corner: each staircase cell brings in one new row or column
+    a, b = list(supplies), list(demands)
     i = j = 0
+    node, other = m, 0
     while True:
         t = a[i] if a[i] < b[j] else b[j]
-        flows[(i, j)] = t
         a[i] -= t
         b[j] -= t
-        if i == m - 1 and j == n - 1:
+        parent[node], flow[node], depth[node] = other, t, depth[other] + 1
+        children[other].append(node)
+        if node < m:
+            u[i] = costs[i][j] - v[j]
+        else:
+            v[j] = costs[i][j] - u[i]
+        if i == m - 1 and j == k - 1:
             break
         if a[i] == 0 and i < m - 1:
             i += 1
+            node, other = i, m + j
         else:
             j += 1
-    return flows
+            node, other = m + j, i
 
-
-def _potentials(m, n, basis, costs):
-    """Node potentials (u, v) with u[i] + v[j] = cost[i][j] on basic cells."""
-    adj = {k: [] for k in range(m + n)}
-    for (i, j) in basis:
-        adj[i].append((m + j, i, j))
-        adj[m + j].append((i, i, j))
-    u = [None] * m
-    v = [None] * n
-    u[0] = Fraction(0)
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nb, i, j in adj[node]:
-            if nb >= m:
-                if v[nb - m] is None:
-                    v[nb - m] = costs[i][j] - u[i]
-                    stack.append(nb)
-            elif u[nb] is None:
-                u[nb] = costs[i][j] - v[j]
-                stack.append(nb)
-    return u, v
-
-
-def _cycle_arcs(m, basis, i0, j0):
-    """Arcs of the unique tree path from target node j0 back to source i0.
-
-    The first arc is incident to j0; around the pivot cycle the signs
-    alternate -, +, -, ... starting from it.
-    """
-    adj = {}
-    for (i, j) in basis:
-        adj.setdefault(i, []).append(m + j)
-        adj.setdefault(m + j, []).append(i)
-    parent = {i0: None}
-    stack = [i0]
-    goal = m + j0
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nb in adj[node]:
-            if nb not in parent:
-                parent[nb] = node
-                stack.append(nb)
-    arcs = []
-    node = goal
-    while parent[node] is not None:
-        prev = parent[node]
-        if node >= m:
-            arcs.append((prev, node - m))
-        else:
-            arcs.append((node, prev - m))
-        node = prev
-    return arcs
-
-
-def _solve_transportation(costs, supplies, demands):
-    """Exact network simplex; returns (basic flows, u, v) at optimality."""
-    m, n = len(supplies), len(demands)
-    flows = _northwest_basis(supplies, demands)
     while True:
-        u, v = _potentials(m, n, flows, costs)
-        entering = None
+        # basic cells price to exactly 0, so only nonbasic ones can go negative
         for i in range(m):
-            ui = u[i]
-            row = costs[i]
-            for j in range(n):
-                if (i, j) not in flows and row[j] - ui - v[j] < 0:
-                    entering = (i, j)
-                    break
-            if entering is not None:
+            ui, row = u[i], costs[i]
+            if min(map(sub, row, v)) < ui:
+                j = next(j for j in range(k) if row[j] - v[j] < ui)
                 break
-        if entering is None:
-            return flows, u, v
-        arcs = _cycle_arcs(m, flows, *entering)
-        minus = arcs[0::2]
-        theta = min(flows[a] for a in minus)
-        leaving = min(a for a in minus if flows[a] == theta)
-        for a in arcs[1::2]:
-            flows[a] += theta
-        for a in minus:
-            flows[a] -= theta
-        del flows[leaving]
-        flows[entering] = theta
+        else:
+            return {cell(x): flow[x] for x in range(m + k) if parent[x] >= 0}, u
+        rc = costs[i][j] - u[i] - v[j]
+
+        # the cycle is the entering cell plus the tree paths up to the apex;
+        # a tree cell is a minus cell when the cycle, oriented along the
+        # entering cell from row i to column j, runs through it from its
+        # column end to its row end
+        x, y = i, m + j
+        row_side, col_side = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                row_side.append(x)
+                x = parent[x]
+            else:
+                col_side.append(y)
+                y = parent[y]
+        minus = [x for x in row_side if x < m] + [y for y in col_side if y >= m]
+        theta = min(flow[x] for x in minus)
+        out = min((x for x in minus if flow[x] == theta), key=cell)
+        if theta:
+            for x in row_side:
+                flow[x] += -theta if x < m else theta
+            for y in col_side:
+                flow[y] += -theta if y >= m else theta
+
+        # re-hang the subtree cut off below the leaving cell from the end of
+        # the entering cell inside it, reversing the path between the two
+        if out in row_side:
+            root, hook, shift = i, m + j, rc
+        else:
+            root, hook, shift = m + j, i, -rc
+        x, above, f = root, hook, theta
+        while True:
+            old_parent, old_flow = parent[x], flow[x]
+            children[old_parent].remove(x)
+            parent[x], flow[x] = above, f
+            children[above].append(x)
+            if x == out:
+                break
+            x, above, f = old_parent, x, old_flow
+
+        # keep u + v == cost on the subtree's cells and make the entering one tight
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            depth[x] = depth[parent[x]] + 1
+            if x < m:
+                u[x] += shift
+            else:
+                v[x - m] -= shift
+            stack.extend(children[x])
 
 
 def wasserstein(p: Measure, q: Measure):
@@ -193,10 +197,10 @@ def wasserstein(p: Measure, q: Measure):
     Returns ``(value, plan, witness)`` where the plan is an optimal coupling
     and the witness a short functional with
     integrate(witness, p) - integrate(witness, q) == value, checked exactly.
-    The witness comes from the optimal node potentials restricted to the
-    support of p and extended to the whole space by the Lipschitz lower
-    envelope x -> max over support s of (u(s) - d(x, s)), then normalized so
-    the first point of the space takes value 0.
+    The witness comes from the optimal node potentials on the support of p,
+    extended to the whole space by the Lipschitz lower envelope
+    x -> max over support s of (u(s) - d(x, s)), then normalized so the
+    first point of the space takes value 0.
     """
     if p.space != q.space:
         raise ValueError("measures live on different spaces")
@@ -210,19 +214,30 @@ def wasserstein(p: Measure, q: Measure):
         plan = TransportPlan(p, q, coupling, Fraction(0))
         return Fraction(0), plan, DualWitness(zero_functional(space))
 
-    costs = space.dist
-    flows, u, v = _solve_transportation(costs, p.weights, q.weights)
+    rows = [i for i, x in enumerate(p.weights) if x]
+    cols = [j for j, x in enumerate(q.weights) if x]
+    # distances from supp p over one denominator: these hold the costs and,
+    # by symmetry, every distance the witness envelope needs
+    dist = [space.dist[i] for i in rows]
+    d = lcm(*(x.denominator for row in dist for x in row))
+    scaled = [[x.numerator * (d // x.denominator) for x in row] for row in dist]
+    masses = [p.weights[i] for i in rows] + [q.weights[j] for j in cols]
+    w = lcm(*(x.denominator for x in masses))
+    units = [x.numerator * (w // x.denominator) for x in masses]
+    costs = [[row[j] for j in cols] for row in scaled]
+    flows, u = _solve_transportation(costs, units[: len(rows)], units[len(rows) :])
+
     grid = [[Fraction(0)] * n for _ in range(n)]
-    cost = Fraction(0)
-    for (i, j), f in flows.items():
-        grid[i][j] = f
-        cost += f * costs[i][j]
+    total = 0
+    for (a, b), f in flows.items():
+        grid[rows[a]][cols[b]] = Fraction(f, w)
+        total += f * costs[a][b]
+    cost = Fraction(total, w * d)
     plan = TransportPlan(p, q, tuple(tuple(row) for row in grid), cost)
 
-    support = [i for i, w in enumerate(p.weights) if w > 0]
-    values = [max(u[s] - costs[k][s] for s in support) for k in range(n)]
+    values = [max(map(sub, u, column)) for column in zip(*scaled)]
     base = values[0]
-    potential = ShortFunctional(space, tuple(x - base for x in values))
+    potential = ShortFunctional(space, tuple(Fraction(x - base, d) for x in values))
     witness = DualWitness(potential)
     attained = integrate(potential, p) - integrate(potential, q)
     if attained != cost:

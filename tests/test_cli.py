@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kantorovich import jsonio, product, uniform
-from kantorovich.cli import Workspace, main
+from kantorovich.cli import MAX_CASES, Workspace, main
 from kantorovich.measure import Measure
 from kantorovich.metric import FinMetricSpace
 
@@ -154,6 +154,29 @@ class TestValidateCommand:
     def test_missing_file(self, capsys):
         assert main(["validate", "--workspace", "/no/such/file.json"]) == 2
 
+    def test_space_over_the_size_limit(self, tmp_path, capsys):
+        n = jsonio.MAX_POINTS + 1
+        big = {"points": [f"x{i}" for i in range(n)], "dist": [["0"] * n] * n}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"spaces": {"B": big}}))
+        assert main(["validate", "--workspace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"limit of {jsonio.MAX_POINTS} points" in err and "MAX_POINTS" in err
+
+    def test_tensor_over_the_size_limit(self, tmp_path, capsys):
+        def discrete(n):
+            return {
+                "points": [f"x{i}" for i in range(n)],
+                "dist": [["0" if i == j else "1" for j in range(n)] for i in range(n)],
+            }
+
+        spaces = {"A": discrete(12), "B": discrete(11), "AB": {"tensor": ["A", "B"]}}
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps({"spaces": spaces}))
+        assert main(["validate", "--workspace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "space of 132 points" in err and "MAX_POINTS" in err
+
 
 class TestDistanceCommand:
     def test_prints_exact_value(self, ws_file, capsys):
@@ -275,6 +298,12 @@ class TestLawsCommand:
     def test_unknown_law(self, capsys):
         assert main(["laws", "--seed", "1", "--cases", "1", "--law", "nope"]) == 2
         assert "unknown law" in capsys.readouterr().err
+
+    def test_cases_over_the_limit(self, capsys):
+        cases = str(MAX_CASES + 1)
+        assert main(["laws", "--seed", "1", "--cases", cases, "--law", "dirac_product"]) == 2
+        err = capsys.readouterr().err
+        assert f"limit of {MAX_CASES}" in err and "MAX_CASES" in err
 
 
 class TestUsageErrors:

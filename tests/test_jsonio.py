@@ -183,3 +183,53 @@ def test_dumps_is_deterministic(two_point):
     payload = jsonio.measure_to_json(uniform(two_point))
     assert jsonio.dumps(payload) == jsonio.dumps(dict(reversed(payload.items())))
     assert "\n" in jsonio.dumps(payload, pretty=True)
+
+
+def _discrete_space_json(n, prefix="x"):
+    """The n-point space at distance 1 between distinct points, as JSON."""
+    return {
+        "points": [f"{prefix}{i}" for i in range(n)],
+        "dist": [["0" if i == j else "1" for j in range(n)] for i in range(n)],
+    }
+
+
+class TestSizeLimit:
+    def test_explicit_space_over_the_limit_is_rejected_before_parsing(self):
+        n = jsonio.MAX_POINTS + 1
+        # entries outside the rational grammar: the size error must come first
+        obj = {"points": [f"x{i}" for i in range(n)], "dist": [["?"] * n] * n}
+        with pytest.raises(ValueError, match="limit of 128 points.*MAX_POINTS"):
+            jsonio.space_from_json(obj)
+
+    def test_long_dist_row_is_rejected(self):
+        obj = {"points": ["a", "b"], "dist": [["?"] * 1000, ["?"] * 2]}
+        with pytest.raises(ValueError, match="space of 1000 points"):
+            jsonio.space_from_json(obj)
+
+    def test_tensor_compares_the_product_of_factor_sizes(self):
+        obj = {"tensor": [_discrete_space_json(12, "x"), _discrete_space_json(11, "y")]}
+        with pytest.raises(ValueError, match="space of 132 points"):
+            jsonio.space_from_json(obj)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "MAX_POINTS", 4)
+        assert len(jsonio.space_from_json(_discrete_space_json(4))) == 4
+        square = {"tensor": [_discrete_space_json(2, "x"), _discrete_space_json(2, "y")]}
+        assert len(jsonio.space_from_json(square)) == 4
+        with pytest.raises(ValueError, match="limit of 4 points"):
+            jsonio.space_from_json(_discrete_space_json(5))
+        wide = {"tensor": [_discrete_space_json(2, "x"), _discrete_space_json(3, "y")]}
+        with pytest.raises(ValueError, match="limit of 4 points"):
+            jsonio.space_from_json(wide)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"points": "ab", "dist": [["0", "1"], ["1", "0"]]},
+            {"points": ["a", "b"], "dist": {"a": ["0", "1"]}},
+            {"points": ["a", "b"], "dist": ["01", "10"]},
+        ],
+    )
+    def test_space_parts_must_be_lists(self, obj):
+        with pytest.raises(ValueError, match="list of points"):
+            jsonio.space_from_json(obj)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,7 +17,14 @@ from kantorovich import (
     wasserstein_distance,
     wasserstein_oracle,
 )
-from kantorovich.generate import random_measure, random_short_map, random_space
+from kantorovich import jsonio
+from kantorovich.generate import (
+    random_measure,
+    random_measure_with_support,
+    random_short_map,
+    random_space,
+)
+from kantorovich.jsonio import format_fraction
 
 from strategies import metric_spaces
 
@@ -166,3 +174,128 @@ class TestOracle:
         )
         with pytest.raises(ValueError, match="support"):
             wasserstein_oracle(uniform(big), uniform(big))
+
+
+def _full_support_measure(rng, space):
+    raw = [rng.randint(1, 64) for _ in space.points]
+    total = sum(raw)
+    return Measure(space, tuple(Fraction(x, total) for x in raw))
+
+
+def _measure_on_weights(space, weights):
+    return Measure(
+        space, tuple(Fraction(weights.get(i, 0)) for i in range(len(space)))
+    )
+
+
+def _measure_on(rng, space, indices):
+    raw = {i: rng.randint(1, 64) for i in indices}
+    total = sum(raw.values())
+    return _measure_on_weights(space, {i: Fraction(x, total) for i, x in raw.items()})
+
+
+def _sha256(payload):
+    return hashlib.sha256(jsonio.dumps(payload).encode()).hexdigest()
+
+
+# sha256 digests recorded with the Fraction-pivoting solver that kept every
+# point as a node; the full-support digest pins the pivot path itself
+# (coupling and witness), the sparse one only the values
+FULL_SUPPORT_DIGEST = "04ae3c2389177ba8aefa21726f8d0bfe850792fd8f2bd4308b2368c597c1b6af"
+SPARSE_VALUES_DIGEST = "5a2ee70c650de8d2d45894e7ba0ebcde653521650d3ccc80e0cd1eb619f8194f"
+
+
+class TestGoldenSolves:
+    def test_full_support_golden_digest(self):
+        rng = random.Random(2024)
+        payload = []
+        for n in (8, 16, 24, 32):
+            for _ in range(2):
+                space = random_space(rng, n, min_points=n)
+                p = _full_support_measure(rng, space)
+                q = _full_support_measure(rng, space)
+                value, plan, witness = wasserstein(p, q)
+                payload.append(
+                    [
+                        format_fraction(value),
+                        [[format_fraction(x) for x in row] for row in plan.coupling],
+                        [format_fraction(x) for x in witness.potential.values],
+                    ]
+                )
+        assert _sha256(payload) == FULL_SUPPORT_DIGEST
+
+    def test_sparse_values_golden_digest(self):
+        rng = random.Random(2025)
+        values = []
+        for _ in range(12):
+            space = random_space(rng, 24, min_points=24)
+            p = random_measure_with_support(rng, space, 6)
+            q = random_measure_with_support(rng, space, 6)
+            values.append(format_fraction(wasserstein_distance(p, q)))
+        assert _sha256(values) == SPARSE_VALUES_DIGEST
+
+
+class TestSupportsOnly:
+    """Small supports on large spaces: the solver sees only the supports."""
+
+    @staticmethod
+    def _spaces(rng):
+        return [random_space(rng, 24, min_points=16) for _ in range(4)]
+
+    def test_random_small_supports_match_oracle(self):
+        rng = random.Random(31)
+        for space in self._spaces(rng):
+            for _ in range(10):
+                p = random_measure_with_support(rng, space, 4)
+                q = random_measure_with_support(rng, space, 4)
+                assert wasserstein_distance(p, q) == wasserstein_oracle(p, q)
+
+    def test_disjoint_supports_match_oracle(self):
+        rng = random.Random(32)
+        for space in self._spaces(rng):
+            for _ in range(5):
+                chosen = rng.sample(range(len(space)), 8)
+                p = _measure_on(rng, space, chosen[: rng.randint(1, 4)])
+                q = _measure_on(rng, space, chosen[4 : 4 + rng.randint(1, 4)])
+                assert wasserstein_distance(p, q) == wasserstein_oracle(p, q)
+
+    def test_dirac_to_dirac_is_distance(self):
+        rng = random.Random(33)
+        for space in self._spaces(rng):
+            x, y = rng.sample(space.points, 2)
+            p, q = dirac(space, x), dirac(space, y)
+            assert wasserstein_distance(p, q) == space.distance(x, y)
+            assert wasserstein_oracle(p, q) == space.distance(x, y)
+
+    def test_single_point_source_matches_oracle(self):
+        rng = random.Random(34)
+        for space in self._spaces(rng):
+            x = rng.choice(space.points)
+            p = dirac(space, x)
+            q = random_measure_with_support(rng, space, 4)
+            value = wasserstein_distance(p, q)
+            assert value == wasserstein_oracle(p, q)
+            # all of p's mass moves to q, so the value is q's mean distance
+            assert value == sum(
+                w * space.distance(x, pt)
+                for pt, w in zip(space.points, q.weights)
+            )
+
+    def test_large_coprime_denominators_match_oracle(self):
+        rng = random.Random(35)
+        eps = Fraction(1, 2**61 - 1)
+        delta = Fraction(1, 2**31 - 1)
+        for base in self._spaces(rng):
+            # a positive multiple of a metric is a metric; this one brings
+            # distance denominators coprime to both weight denominators
+            scale = Fraction(1000003, 999983)
+            space = FinMetricSpace(
+                base.points, tuple(tuple(x * scale for x in row) for row in base.dist)
+            )
+            for _ in range(3):
+                a, b, c, d = rng.sample(range(len(space)), 4)
+                p = _measure_on_weights(space, {a: eps, b: 1 - eps})
+                q = _measure_on_weights(space, {c: delta, d: 1 - 2 * delta, a: delta})
+                value = wasserstein_distance(p, q)
+                assert value == wasserstein_oracle(p, q)
+                assert value.denominator > 2**61

@@ -6,6 +6,12 @@ object definitions. Definitions may reference other named objects; several
 files merge left to right with duplicate names rejected. Every loaded object
 passes its construction invariants before any command runs, and no command
 ever modifies a workspace file.
+
+Every command but ``laws`` is one row of ``_COMMANDS``: its name, its help
+text, its operands as ``(argument, kind)`` pairs, and an answer function.
+One handler serves them all: it loads the workspace, resolves each operand
+by kind, calls the answer with the parsed arguments, the workspace and the
+resolved operands, and prints the JSON payload or the text lines it returns.
 """
 
 from __future__ import annotations
@@ -34,20 +40,13 @@ from .transport import wasserstein
 # acceptance criteria fit well inside.
 MAX_CASES = 1000
 
-_SECTIONS = {
-    "space": "spaces",
-    "map": "maps",
-    "measure": "measures",
-    "nested": "nested",
-    "monoid": "monoids",
-}
-
-_DECODERS = {
-    "space": jsonio.space_from_json,
-    "map": jsonio.map_from_json,
-    "measure": jsonio.measure_from_json,
-    "nested": jsonio.nested_from_json,
-    "monoid": jsonio.monoid_from_json,
+# Each object kind: its workspace section and its decoder.
+_KINDS = {
+    "space": ("spaces", jsonio.space_from_json),
+    "map": ("maps", jsonio.map_from_json),
+    "measure": ("measures", jsonio.measure_from_json),
+    "nested": ("nested", jsonio.nested_from_json),
+    "monoid": ("monoids", jsonio.monoid_from_json),
 }
 
 
@@ -55,9 +54,10 @@ class Workspace:
     """Named registry of validated objects loaded from JSON files."""
 
     def __init__(self):
-        self._raw = {section: {} for section in _SECTIONS.values()}
-        self._cache = {section: {} for section in _SECTIONS.values()}
+        self._raw = {section: {} for section, _ in _KINDS.values()}
+        self._cache = {section: {} for section, _ in _KINDS.values()}
         self._visiting = set()
+        self.counts = {}
 
     @classmethod
     def load(cls, paths) -> "Workspace":
@@ -71,7 +71,7 @@ class Workspace:
                     raise ValueError(f"{path}: invalid JSON: {exc}") from None
             if not isinstance(data, dict):
                 raise ValueError(f"{path}: workspace must be a JSON object")
-            unknown = set(data) - set(_SECTIONS.values())
+            unknown = set(data) - set(ws._raw)
             if unknown:
                 raise ValueError(f"{path}: unknown sections {sorted(unknown)}")
             for section, entries in data.items():
@@ -83,11 +83,11 @@ class Workspace:
                             f"{path}: duplicate {section} name {name!r} across workspace files"
                         )
                     ws._raw[section][name] = obj
-        ws.validate_all()
+        ws.counts = ws.validate_all()
         return ws
 
     def resolve(self, kind: str, name: str):
-        section = _SECTIONS[kind]
+        section, decode = _KINDS[kind]
         if name in self._cache[section]:
             return self._cache[section][name]
         if name not in self._raw[section]:
@@ -97,28 +97,24 @@ class Workspace:
             raise ValueError(f"circular reference through {kind} {name!r}")
         self._visiting.add(key)
         try:
-            obj = _DECODERS[kind](self._raw[section][name], self.resolve)
+            obj = decode(self._raw[section][name], self.resolve)
         finally:
             self._visiting.discard(key)
         self._cache[section][name] = obj
         return obj
 
     def validate_all(self):
-        """Force every named object through its construction checks."""
+        """Force every named object through its construction checks; count them by section."""
         counts = {}
-        for kind, section in _SECTIONS.items():
+        for kind, (section, _) in _KINDS.items():
             for name in sorted(self._raw[section]):
                 self.resolve(kind, name)
             counts[section] = len(self._raw[section])
         return counts
 
 
-def _emit(args, payload, human_lines):
-    if args.json:
-        print(jsonio.dumps(payload, pretty=True))
-    else:
-        for line in human_lines:
-            print(line)
+def _bool(verdict):
+    return "true" if verdict else "false"
 
 
 def _measure_lines(measure):
@@ -129,116 +125,100 @@ def _measure_lines(measure):
     ]
 
 
-def _cmd_validate(args):
-    ws = Workspace.load(_workspace_files(args))
-    counts = ws.validate_all()
-    payload = {"ok": True, "counts": counts}
-    _emit(args, payload, [f"{section}: {n}" for section, n in sorted(counts.items())] + ["ok"])
-    return 0
+def _measure(measure):
+    return jsonio.measure_to_json(measure), _measure_lines(measure)
 
 
-def _cmd_distance(args):
-    ws = Workspace.load(_workspace_files(args))
-    p = ws.resolve("measure", args.p)
-    q = ws.resolve("measure", args.q)
+def _validate(args, ws):
+    lines = [f"{section}: {n}" for section, n in sorted(ws.counts.items())]
+    return {"ok": True, "counts": ws.counts}, lines + ["ok"]
+
+
+def _distance(args, ws, p, q):
+    fmt = jsonio.format_fraction
     value, plan, witness = wasserstein(p, q)
-    payload = {"distance": jsonio.format_fraction(value)}
-    lines = [jsonio.format_fraction(value)]
+    payload, lines = {"distance": fmt(value)}, [fmt(value)]
     if args.verbose:
-        payload["coupling"] = [
-            [jsonio.format_fraction(x) for x in row] for row in plan.coupling
-        ]
+        payload["coupling"] = [[fmt(x) for x in row] for row in plan.coupling]
         payload["witness"] = jsonio.functional_to_json(witness.potential)
-        lines.append("coupling:")
-        lines.extend(
-            "  " + " ".join(jsonio.format_fraction(x) for x in row)
-            for row in plan.coupling
-        )
-        lines.append("witness:")
-        lines.extend(
-            f"  {jsonio.label_key(pt)}: {jsonio.format_fraction(v)}"
+        lines += ["coupling:"] + ["  " + " ".join(row) for row in payload["coupling"]]
+        lines += ["witness:"] + [
+            f"  {jsonio.label_key(pt)}: {fmt(v)}"
             for pt, v in zip(p.space.points, witness.potential.values)
-        )
-    _emit(args, payload, lines)
-    return 0
+        ]
+    return payload, lines
 
 
-def _cmd_product(args):
-    ws = Workspace.load(_workspace_files(args))
-    p = ws.resolve("measure", args.p)
-    q = ws.resolve("measure", args.q)
-    joint = product(p, q)
-    _emit(args, jsonio.measure_to_json(joint), _measure_lines(joint))
-    return 0
+def _marginals(args, ws, r):
+    payload, lines = {}, []
+    for key, measure in zip(("first", "second"), marginals(r)):
+        payload[key], measure_lines = _measure(measure)
+        lines += [f"{key}:"] + ["  " + line for line in measure_lines]
+    return payload, lines
 
 
-def _cmd_marginals(args):
-    ws = Workspace.load(_workspace_files(args))
-    r = ws.resolve("measure", args.r)
-    first, second = marginals(r)
-    payload = {
-        "first": jsonio.measure_to_json(first),
-        "second": jsonio.measure_to_json(second),
-    }
-    lines = (
-        ["first:"]
-        + ["  " + line for line in _measure_lines(first)]
-        + ["second:"]
-        + ["  " + line for line in _measure_lines(second)]
-    )
-    _emit(args, payload, lines)
-    return 0
-
-
-def _cmd_independent(args):
-    ws = Workspace.load(_workspace_files(args))
-    r = ws.resolve("measure", args.r)
+def _independent(args, ws, r):
     verdict = is_independent(r)
-    _emit(args, {"independent": verdict}, ["true" if verdict else "false"])
-    return 0
+    return {"independent": verdict}, [_bool(verdict)]
 
 
-def _cmd_independent_maps(args):
-    ws = Workspace.load(_workspace_files(args))
-    s = ws.resolve("measure", args.s)
-    f1 = ws.resolve("map", args.f1)
-    f2 = ws.resolve("map", args.f2)
-    law = Law(s.space, s)
-    verdict = independent_maps(law, f1, f2)
+def _independent_maps(args, ws, s, f1, f2):
+    verdict = independent_maps(Law(s.space, s), f1, f2)
     _, _, pairing_short = tupling_table(f1, f2)
     payload = {"independent": verdict, "tupling_short": pairing_short}
-    lines = [
-        "true" if verdict else "false",
-        f"tupling_short: {'true' if pairing_short else 'false'}",
-    ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, [_bool(verdict), f"tupling_short: {_bool(pairing_short)}"]
 
 
-def _cmd_convolve(args):
-    ws = Workspace.load(_workspace_files(args))
-    monoid = ws.resolve("monoid", args.monoid)
-    p = ws.resolve("measure", args.p)
-    q = ws.resolve("measure", args.q)
-    out = convolve(p, q, monoid)
-    _emit(args, jsonio.measure_to_json(out), _measure_lines(out))
-    return 0
+_PQ = (("p", "measure"), ("q", "measure"))
+
+# name, help text, operands as (argument, kind), answer(args, workspace, *operands)
+_COMMANDS = (
+    ("validate", "load a workspace and run all invariant checks", (), _validate),
+    ("distance", "exact transport distance between two measures", _PQ, _distance),
+    (
+        "product",
+        "independent joint of two measures",
+        _PQ,
+        lambda args, ws, p, q: _measure(product(p, q)),
+    ),
+    ("marginals", "both marginals of a joint measure", (("r", "measure"),), _marginals),
+    ("independent", "test a joint for independence", (("r", "measure"),), _independent),
+    (
+        "independent-maps",
+        "test two observables of a law for independence",
+        (("s", "measure"), ("f1", "map"), ("f2", "map")),
+        _independent_maps,
+    ),
+    (
+        "convolve",
+        "convolve two measures over a monoid",
+        (("monoid", "monoid"),) + _PQ,
+        lambda args, ws, monoid, p, q: _measure(convolve(p, q, monoid)),
+    ),
+    (
+        "expect",
+        "average a nested measure",
+        (("mu", "nested"),),
+        lambda args, ws, mu: _measure(expectation(mu)),
+    ),
+    (
+        "pushforward",
+        "push a measure along a short map",
+        (("f", "map"), ("p", "measure")),
+        lambda args, ws, f, p: _measure(pushforward(f, p)),
+    ),
+)
 
 
-def _cmd_expect(args):
-    ws = Workspace.load(_workspace_files(args))
-    mu = ws.resolve("nested", args.mu)
-    out = expectation(mu)
-    _emit(args, jsonio.measure_to_json(out), _measure_lines(out))
-    return 0
-
-
-def _cmd_pushforward(args):
-    ws = Workspace.load(_workspace_files(args))
-    f = ws.resolve("map", args.f)
-    p = ws.resolve("measure", args.p)
-    out = pushforward(f, p)
-    _emit(args, jsonio.measure_to_json(out), _measure_lines(out))
+def _run(args):
+    ws = Workspace.load(args.workspace)
+    operands = [ws.resolve(kind, getattr(args, dest)) for dest, kind in args.operands]
+    payload, lines = args.answer(args, ws, *operands)
+    if args.json:
+        print(jsonio.dumps(payload, pretty=True))
+    else:
+        for line in lines:
+            print(line)
     return 0
 
 
@@ -269,21 +249,6 @@ def _cmd_laws(args):
     return 0 if report.all_passed() else 1
 
 
-def _add_workspace(parser):
-    parser.add_argument(
-        "--workspace",
-        nargs="+",
-        action="append",
-        required=True,
-        metavar="FILE",
-        help="one or more JSON workspace files, merged left to right",
-    )
-
-
-def _workspace_files(args):
-    return [path for group in args.workspace for path in group]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kantorovich",
@@ -297,61 +262,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="load a workspace and run all invariant checks")
-    _add_workspace(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("distance", help="exact transport distance between two measures")
-    _add_workspace(p)
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument(
+    for name, help_text, operands, answer in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(
+            "--workspace",
+            nargs="+",
+            action="extend",
+            required=True,
+            metavar="FILE",
+            help="one or more JSON workspace files, merged left to right",
+        )
+        for dest, _ in operands:
+            p.add_argument(dest)
+        p.set_defaults(func=_run, operands=operands, answer=answer)
+    sub.choices["distance"].add_argument(
         "-v", "--verbose", action="store_true", help="also print coupling and witness"
     )
-    p.set_defaults(func=_cmd_distance)
-
-    p = sub.add_parser("product", help="independent joint of two measures")
-    _add_workspace(p)
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("marginals", help="both marginals of a joint measure")
-    _add_workspace(p)
-    p.add_argument("r")
-    p.set_defaults(func=_cmd_marginals)
-
-    p = sub.add_parser("independent", help="test a joint for independence")
-    _add_workspace(p)
-    p.add_argument("r")
-    p.set_defaults(func=_cmd_independent)
-
-    p = sub.add_parser(
-        "independent-maps", help="test two observables of a law for independence"
-    )
-    _add_workspace(p)
-    p.add_argument("s")
-    p.add_argument("f1")
-    p.add_argument("f2")
-    p.set_defaults(func=_cmd_independent_maps)
-
-    p = sub.add_parser("convolve", help="convolve two measures over a monoid")
-    _add_workspace(p)
-    p.add_argument("monoid")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(func=_cmd_convolve)
-
-    p = sub.add_parser("expect", help="average a nested measure")
-    _add_workspace(p)
-    p.add_argument("mu")
-    p.set_defaults(func=_cmd_expect)
-
-    p = sub.add_parser("pushforward", help="push a measure along a short map")
-    _add_workspace(p)
-    p.add_argument("f")
-    p.add_argument("p")
-    p.set_defaults(func=_cmd_pushforward)
 
     p = sub.add_parser("laws", help="run the law-checking suite")
     p.add_argument("--seed", type=int, required=True)

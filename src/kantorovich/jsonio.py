@@ -78,9 +78,27 @@ def label_key(label) -> str:
 
 
 def label_from_key(key: str):
+    if not isinstance(key, str):
+        raise ValueError(f"bad label {key!r}")
     if key.startswith("["):
         return label_from_json(json.loads(key))
     return key
+
+
+_JSON_TYPES = {dict: "an object", list: "a list"}
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, kind: str, json_type=object, default=_REQUIRED):
+    """``obj[key]``, with an error naming the field if it is missing or of the wrong type."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{kind} has no {key!r} field")
+        return default
+    value = obj[key]
+    if not isinstance(value, json_type):
+        raise ValueError(f"{kind} field {key!r} must be {_JSON_TYPES[json_type]}, got {value!r}")
+    return value
 
 
 def _resolve(kind: str, obj, resolver: Resolver):
@@ -150,7 +168,7 @@ def measure_from_json(obj, resolver: Resolver = None) -> Measure:
     space = space_from_json(obj["space"], resolver)
     weights = {
         label_from_key(k): parse_fraction(v)
-        for k, v in obj.get("weights", {}).items()
+        for k, v in _field(obj, "weights", "measure", dict, {}).items()
     }
     return Measure.from_mapping(space, weights)
 
@@ -170,10 +188,11 @@ def map_from_json(obj, resolver: Resolver = None) -> ShortMap:
         return _resolve("map", obj, resolver)
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValueError(f"bad map {obj!r}")
-    domain = space_from_json(obj["domain"], resolver)
-    codomain = space_from_json(obj["codomain"], resolver)
+    domain = space_from_json(_field(obj, "domain", "map"), resolver)
+    codomain = space_from_json(_field(obj, "codomain", "map"), resolver)
     table = {
-        label_from_key(k): label_from_key(v) for k, v in obj["table"].items()
+        label_from_key(k): label_from_key(v)
+        for k, v in _field(obj, "table", "map", dict).items()
     }
     return ShortMap.from_mapping(domain, codomain, table)
 
@@ -189,8 +208,13 @@ def functional_to_json(f: ShortFunctional):
 
 
 def functional_from_json(obj, resolver: Resolver = None) -> ShortFunctional:
-    domain = space_from_json(obj["domain"], resolver)
-    values = {label_from_key(k): parse_fraction(v) for k, v in obj["values"].items()}
+    if not isinstance(obj, dict):
+        raise ValueError(f"bad functional {obj!r}")
+    domain = space_from_json(_field(obj, "domain", "functional"), resolver)
+    values = {
+        label_from_key(k): parse_fraction(v)
+        for k, v in _field(obj, "values", "functional", dict).items()
+    }
     return ShortFunctional.from_mapping(domain, values)
 
 
@@ -208,8 +232,10 @@ def nested_from_json(obj, resolver: Resolver = None) -> NestedMeasure:
     if not isinstance(obj, dict) or "base" not in obj:
         raise ValueError(f"bad nested measure {obj!r}")
     base = space_from_json(obj["base"], resolver)
-    inner = tuple(measure_from_json(m, resolver) for m in obj.get("inner", []))
-    weights = tuple(parse_fraction(w) for w in obj.get("weights", []))
+    inner = _field(obj, "inner", "nested measure", list, [])
+    weights = _field(obj, "weights", "nested measure", list, [])
+    inner = tuple(measure_from_json(m, resolver) for m in inner)
+    weights = tuple(parse_fraction(w) for w in weights)
     return NestedMeasure(base, inner, weights)
 
 
@@ -227,8 +253,8 @@ def monoid_from_json(obj, resolver: Resolver = None) -> InternalMonoid:
     if not isinstance(obj, dict) or "carrier" not in obj:
         raise ValueError(f"bad monoid {obj!r}")
     carrier = space_from_json(obj["carrier"], resolver)
-    mult = map_from_json(obj["mult"], resolver)
-    unit = label_from_json(obj["unit"])
+    mult = map_from_json(_field(obj, "mult", "monoid"), resolver)
+    unit = label_from_json(_field(obj, "unit", "monoid"))
     return InternalMonoid(carrier, mult, unit)
 
 
@@ -298,6 +324,8 @@ def value_from_json(obj):
     if t == "point":
         return label_from_json(v)
     if t == "list":
+        if not isinstance(v, list):
+            raise ValueError(f"bad list {v!r}")
         return [value_from_json(x) for x in v]
     raise ValueError(f"unknown value type {t!r}")
 

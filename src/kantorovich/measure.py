@@ -76,11 +76,16 @@ def pushforward(f: ShortMap, p: Measure) -> Measure:
     """The image measure: mass of each point is sent through the table of f."""
     if f.domain != p.space:
         raise ValueError("map and measure live on different spaces")
-    out = [Fraction(0)] * len(f.codomain)
-    for target, w in zip(f.table, p.weights):
+    return _image(f.codomain, f.table, p.weights)
+
+
+def _image(codomain: FinMetricSpace, table, weights) -> Measure:
+    """The measure on ``codomain`` that sends each weight to its point in ``table``."""
+    out = [Fraction(0)] * len(codomain)
+    for target, w in zip(table, weights):
         if w:
-            out[f.codomain.index(target)] += w
-    return Measure(f.codomain, tuple(out))
+            out[codomain.index(target)] += w
+    return Measure(codomain, tuple(out))
 
 
 def partial_integral(f: ShortFunctional, p: Measure) -> ShortFunctional:

@@ -134,6 +134,18 @@ def _tensor(x, y, x_shape, y_shape):
 tensor.cache_info = _tensor.cache_info
 
 
+def _first_long_pair(domain: FinMetricSpace, codomain: FinMetricSpace, table) -> tuple | None:
+    """The first pair i < j that ``table`` sends farther apart, or None if it is short."""
+    targets = [codomain.index(t) for t in table]
+    dd, cd = domain.dist, codomain.dist
+    for i, ti in enumerate(targets):
+        row, image_row = dd[i], cd[ti]
+        for j in range(i + 1, len(targets)):
+            if image_row[targets[j]] > row[j]:
+                return i, j
+    return None
+
+
 @dataclass(frozen=True)
 class ShortMap:
     """A 1-Lipschitz function given by a total lookup table.
@@ -151,16 +163,15 @@ class ShortMap:
         object.__setattr__(self, "table", table)
         if len(table) != len(self.domain):
             raise ValueError("table must assign a value to every domain point")
-        targets = [self.codomain.index(t) for t in table]
-        dd, cd = self.domain.dist, self.codomain.dist
-        for i in range(len(table)):
-            for j in range(i + 1, len(table)):
-                if cd[targets[i]][targets[j]] > dd[i][j]:
-                    raise ValueError(
-                        "map is not short: "
-                        f"d({table[i]!r},{table[j]!r}) = {cd[targets[i]][targets[j]]} > "
-                        f"d({self.domain.points[i]!r},{self.domain.points[j]!r}) = {dd[i][j]}"
-                    )
+        pair = _first_long_pair(self.domain, self.codomain, table)
+        if pair is not None:
+            i, j = pair
+            raise ValueError(
+                "map is not short: "
+                f"d({table[i]!r},{table[j]!r}) = {self.codomain.distance(table[i], table[j])} > "
+                f"d({self.domain.points[i]!r},{self.domain.points[j]!r}) = "
+                f"{self.domain.dist[i][j]}"
+            )
 
     @classmethod
     def from_mapping(

@@ -82,17 +82,10 @@ def pushforward_nested(f: ShortMap, mu: NestedMeasure) -> NestedMeasure:
 
 def merge_duplicates(mu: NestedMeasure) -> NestedMeasure:
     """Sum the weights of repeated inner measures, keeping first-seen order."""
-    seen = []
-    weights = []
+    merged = {}
     for m, w in zip(mu.inner, mu.weights):
-        for k, other in enumerate(seen):
-            if other == m:
-                weights[k] += w
-                break
-        else:
-            seen.append(m)
-            weights.append(w)
-    return NestedMeasure(mu.base, tuple(seen), tuple(weights))
+        merged[m] = merged.get(m, 0) + w
+    return NestedMeasure(mu.base, tuple(merged), tuple(merged.values()))
 
 
 def wasserstein_space(measures: Sequence[Measure]) -> FinMetricSpace:
@@ -109,23 +102,13 @@ def wasserstein_space(measures: Sequence[Measure]) -> FinMetricSpace:
     for m in measures:
         if m.space != base:
             raise ValueError("all measures must live on one base space")
-    for i in range(len(measures)):
-        for j in range(i + 1, len(measures)):
+    n = len(measures)
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
             if measures[i] == measures[j]:
                 raise ValueError(f"duplicate measures at positions {i} and {j}")
-    cache = {}
-
-    def w1(i, j):
-        if i > j:
-            i, j = j, i
-        if (i, j) not in cache:
-            cache[(i, j)] = wasserstein_distance(measures[i], measures[j])
-        return cache[(i, j)]
-
-    n = len(measures)
-    dist = tuple(
-        tuple(Fraction(0) if i == j else w1(i, j) for j in range(n)) for i in range(n)
-    )
+            dist[i][j] = dist[j][i] = wasserstein_distance(measures[i], measures[j])
     return FinMetricSpace(measures, dist)
 
 
@@ -139,11 +122,7 @@ def nested_distance(mu: NestedMeasure, nu: NestedMeasure) -> Fraction:
         raise ValueError("nested measures live on different base spaces")
     mu = merge_duplicates(mu)
     nu = merge_duplicates(nu)
-    union = list(mu.inner)
-    for m in nu.inner:
-        if m not in union:
-            union.append(m)
-    space = wasserstein_space(union)
+    space = wasserstein_space(dict.fromkeys(mu.inner + nu.inner))
 
     def as_point_measure(nested):
         return Measure.from_mapping(space, dict(zip(nested.inner, nested.weights)))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .measure import Measure, dirac, pushforward
-from .metric import FinMetricSpace, Label, ShortMap, tensor
+from .measure import Measure, _image, dirac, pushforward
+from .metric import FinMetricSpace, Label, ShortMap, _first_long_pair, tensor
 
 
 @dataclass(frozen=True)
@@ -160,16 +160,7 @@ def tupling_table(f1: ShortMap, f2: ShortMap):
     a = f1.domain
     cod = tensor(f1.codomain, f2.codomain)
     table = tuple((f1(x), f2(x)) for x in a.points)
-    short = True
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            ti, tj = cod.index(table[i]), cod.index(table[j])
-            if cod.dist[ti][tj] > a.dist[i][j]:
-                short = False
-                break
-        if not short:
-            break
-    return cod, table, short
+    return cod, table, _first_long_pair(a, cod, table) is None
 
 
 def independent_maps(s: Law, f1: ShortMap, f2: ShortMap) -> bool:
@@ -182,8 +173,4 @@ def independent_maps(s: Law, f1: ShortMap, f2: ShortMap) -> bool:
     if f1.domain != s.space or f2.domain != s.space:
         raise ValueError("maps must be defined on the law's space")
     cod, table, _ = tupling_table(f1, f2)
-    weights = [Fraction(0)] * len(cod)
-    for target, w in zip(table, s.measure.weights):
-        if w:
-            weights[cod.index(target)] += w
-    return is_independent(Measure(cod, tuple(weights)))
+    return is_independent(_image(cod, table, s.measure.weights))

@@ -1,10 +1,13 @@
+import argparse
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kantorovich import jsonio, product, uniform
-from kantorovich.cli import MAX_CASES, Workspace, main
+from kantorovich.cli import MAX_CASES, Workspace, build_parser, main
 from kantorovich.measure import Measure
 from kantorovich.metric import FinMetricSpace
 
@@ -178,6 +181,26 @@ class TestValidateCommand:
         assert "space of 132 points" in err and "MAX_POINTS" in err
 
 
+# JSON of the wrong shape: each once crashed with a traceback and exit 1
+MALFORMED = {
+    "measure-weights-list": ("measures", {"space": "X", "weights": ["a"]}, "'weights'"),
+    "map-table-list": ("maps", {"domain": "X", "codomain": "X", "table": ["a"]}, "'table'"),
+    "map-without-domain": ("maps", {"codomain": "X", "table": {"a": "a", "b": "b"}}, "'domain'"),
+    "nested-inner-number": ("nested", {"base": "X", "inner": 5, "weights": ["1/1"]}, "'inner'"),
+}
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("section, obj, field", MALFORMED.values(), ids=list(MALFORMED))
+    def test_exits_2_naming_the_field(self, tmp_path, ws_file, capsys, section, obj, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {"bad": obj}}))
+        assert main(["validate", "--workspace", ws_file, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and field in captured.err
+
+
 class TestDistanceCommand:
     def test_prints_exact_value(self, ws_file, capsys):
         assert main(["distance", "point", "fair", "--workspace", ws_file]) == 0
@@ -315,3 +338,88 @@ class TestUsageErrors:
 
     def test_missing_workspace_flag(self, capsys):
         assert main(["distance", "p", "q"]) == 2
+
+
+EXAMPLE_WORKSPACE = Path(__file__).resolve().parent.parent / "docs" / "example-workspace.json"
+
+# The README's command-line examples, plus a few error cases answered by the
+# library. Each runs in text and in --json mode. The full-catalog `laws`
+# example runs at 5 cases rather than 200: one 200-case run takes about 30 s,
+# and the report format is the same.
+TRANSCRIPT_COMMANDS = [
+    ["validate"],
+    ["distance", "sure-heads", "fair-coin"],
+    ["distance", "sure-heads", "fair-coin", "-v"],
+    ["distance", "fair-coin", "fair-coin", "-v"],
+    ["independent", "same-face-pair"],
+    ["marginals", "same-face-pair"],
+    ["product", "fair-coin", "loaded-die"],
+    ["expect", "coin-mixture"],
+    ["pushforward", "flip", "sure-heads"],
+    ["convolve", "parity", "fair-coin", "biased-coin"],
+    ["independent-maps", "fair-coin", "hold", "flip"],
+    ["distance", "sure-heads", "loaded-die"],
+    ["distance", "sure-heads", "nope"],
+    ["marginals", "fair-coin"],
+]
+TRANSCRIPT_LAWS = [
+    ["laws", "--seed", "42", "--cases", "5"],
+    ["laws", "--seed", "7", "--cases", "50", "--law", "product_isometry"],
+]
+TRANSCRIPT_DIGEST = "d67dcc35cb0d8610d39090890d911b68e7254600f32ddda14b3dc48f88269ffa"
+
+
+def test_golden_cli_transcript(monkeypatch, capsys):
+    # one sha256 over (command, exit code, stdout, stderr) of every command above
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = []
+    for command in TRANSCRIPT_COMMANDS + TRANSCRIPT_LAWS:
+        workspace = ["--workspace", str(EXAMPLE_WORKSPACE)] if command[0] != "laws" else []
+        for mode in ([], ["--json"]):
+            code = main(mode + command + workspace)
+            captured = capsys.readouterr()
+            transcript.append([mode + command, code, captured.out, captured.err])
+    text = json.dumps(transcript, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRANSCRIPT_DIGEST
+
+
+def _parser_structure():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        "top": [a.dest for a in parser._actions],
+        "commands": [(a.dest, a.help) for a in sub._choices_actions],
+        "dests": {name: [a.dest for a in p._actions] for name, p in sub.choices.items()},
+    }
+
+
+def test_parser_structure():
+    # a structural pin rather than a --help digest, so it holds on every Python version
+    ws = ["help", "workspace"]
+    assert _parser_structure() == {
+        "top": ["help", "json", "command"],
+        "commands": [
+            ("validate", "load a workspace and run all invariant checks"),
+            ("distance", "exact transport distance between two measures"),
+            ("product", "independent joint of two measures"),
+            ("marginals", "both marginals of a joint measure"),
+            ("independent", "test a joint for independence"),
+            ("independent-maps", "test two observables of a law for independence"),
+            ("convolve", "convolve two measures over a monoid"),
+            ("expect", "average a nested measure"),
+            ("pushforward", "push a measure along a short map"),
+            ("laws", "run the law-checking suite"),
+        ],
+        "dests": {
+            "validate": ws,
+            "distance": ws + ["p", "q", "verbose"],
+            "product": ws + ["p", "q"],
+            "marginals": ws + ["r"],
+            "independent": ws + ["r"],
+            "independent-maps": ws + ["s", "f1", "f2"],
+            "convolve": ws + ["monoid", "p", "q"],
+            "expect": ws + ["mu"],
+            "pushforward": ws + ["f", "p"],
+            "laws": ["help", "seed", "cases", "law"],
+        },
+    }

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kantorovich import Law, product, tensor, uniform
+from kantorovich import Law, identity, product, tensor, uniform, unit_nested
 from kantorovich.generate import (
     cyclic_monoid,
     random_functional,
@@ -178,6 +178,32 @@ class TestErrors:
         with pytest.raises(ValueError, match="unknown value type"):
             jsonio.value_from_json({"type": "whatever", "value": 1})
 
+
+    def test_monoid_without_unit(self):
+        monoid = jsonio.monoid_to_json(cyclic_monoid(3))
+        del monoid["unit"]
+        with pytest.raises(ValueError, match="'unit'"):
+            jsonio.monoid_from_json(monoid)
+
+    def test_functional_value_must_be_an_object(self):
+        with pytest.raises(ValueError, match="bad functional"):
+            jsonio.value_from_json({"type": "functional", "value": 5})
+
+    def test_list_value_must_be_a_list(self):
+        with pytest.raises(ValueError, match="bad list"):
+            jsonio.value_from_json({"type": "list", "value": 5})
+
+    def test_map_targets_must_be_labels(self, two_point):
+        obj = jsonio.map_to_json(identity(two_point))
+        obj["table"]["a"] = 5
+        with pytest.raises(ValueError, match="bad label 5"):
+            jsonio.map_from_json(obj)
+
+    def test_nested_weights_must_be_a_list(self, two_point):
+        obj = jsonio.nested_to_json(unit_nested(uniform(two_point)))
+        obj["weights"] = "1"
+        with pytest.raises(ValueError, match="'weights'"):
+            jsonio.nested_from_json(obj)
 
 def test_dumps_is_deterministic(two_point):
     payload = jsonio.measure_to_json(uniform(two_point))

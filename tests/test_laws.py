@@ -177,3 +177,10 @@ def test_catalog_integrity():
         "product_of_marginals_not_identity"
     ]
     assert all(law_id == entry.id for law_id, entry in CATALOG.items())
+
+
+def test_check_law_rejects_list_weights():
+    space = {"points": ["a"], "dist": [["0"]]}
+    instance = {"p": {"type": "measure", "value": {"space": space, "weights": ["1/1"]}}}
+    with pytest.raises(ValueError, match="'weights'"):
+        check_law("monad_left_unit", instance)

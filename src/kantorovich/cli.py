@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import jsonio
@@ -26,12 +27,11 @@ from .measure import pushforward
 from .monad import expectation
 from .structure import (
     Law,
+    _maps_independence,
     convolve,
-    independent_maps,
     is_independent,
     marginals,
     product,
-    tupling_table,
 )
 from .transport import wasserstein
 
@@ -163,8 +163,7 @@ def _independent(args, ws, r):
 
 
 def _independent_maps(args, ws, s, f1, f2):
-    verdict = independent_maps(Law(s.space, s), f1, f2)
-    _, _, pairing_short = tupling_table(f1, f2)
+    verdict, pairing_short = _maps_independence(Law(s.space, s), f1, f2)
     payload = {"independent": verdict, "tupling_short": pairing_short}
     return payload, [_bool(verdict), f"tupling_short: {_bool(pairing_short)}"]
 
@@ -295,7 +294,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the flush at exit
+        # cannot fail again, as the Python docs' SIGPIPE note advises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from .metric import (
     FinMetricSpace,
     ShortFunctional,
     ShortMap,
+    _over,
     mcshane_closure,
     tensor,
 )
@@ -33,22 +34,20 @@ def random_space(
 ) -> FinMetricSpace:
     """A random finite metric space with shortest-path-closed distances."""
     n = rng.randint(min_points, max_points)
-    while True:
-        raw = [[Fraction(0)] * n for _ in range(n)]
+    # each draw a/b with b in 1..4 is a * (12 // b) / 12, so the closure runs on ints
+    raw = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = rng.randint(1, 24)
+            raw[i][j] = raw[j][i] = a * (12 // rng.randint(1, 4))
+    for k in range(n):
         for i in range(n):
-            for j in range(i + 1, n):
-                raw[i][j] = raw[j][i] = Fraction(
-                    rng.randint(1, 24), rng.randint(1, 4)
-                )
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    through = raw[i][k] + raw[k][j]
-                    if through < raw[i][j]:
-                        raw[i][j] = through
-        if all(raw[i][j] > 0 for i in range(n) for j in range(n) if i != j):
-            points = tuple(f"{prefix}{i}" for i in range(n))
-            return FinMetricSpace(points, tuple(tuple(row) for row in raw))
+            for j in range(n):
+                through = raw[i][k] + raw[k][j]
+                if through < raw[i][j]:
+                    raw[i][j] = through
+    points = tuple(f"{prefix}{i}" for i in range(n))
+    return FinMetricSpace(points, _over(raw, 12))
 
 
 def random_measure(

@@ -2,7 +2,11 @@
 
 All distances are exact ``fractions.Fraction`` values and every invariant
 (metric axioms, shortness) is checked exhaustively at construction time.
-Values are immutable after construction; every operation is a pure function.
+Each space also keeps its distance matrix scaled to integers over one common
+denominator, and the checks run on those ints: the triangle inequality is
+still tested on every triple, one C-level pass over the third point per
+pair. Values are immutable after construction; every operation is a pure
+function.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add
 from typing import Hashable, Iterable, Mapping
 
 Label = Hashable
@@ -34,16 +40,21 @@ class FinMetricSpace:
 
     ``factors`` records how a space was built by :func:`tensor`; it is
     construction metadata and takes no part in equality or hashing.
+    ``_ints`` is ``dist`` scaled to integers by ``_scale``, the least common
+    denominator of its entries; the axioms are checked on it, and so are
+    map shortness and the transport costs.
     """
 
     points: tuple
     dist: tuple
     factors: tuple | None = field(default=None, compare=False)
     _index: dict = field(init=False, compare=False, repr=False)
+    _ints: tuple = field(init=False, compare=False, repr=False)
+    _scale: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         points = tuple(self.points)
-        dist = tuple(tuple(_as_fraction(x) for x in row) for row in self.dist)
+        dist = tuple(tuple(map(_as_fraction, row)) for row in self.dist)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
@@ -54,30 +65,11 @@ class FinMetricSpace:
             raise ValueError("point labels must be pairwise distinct")
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError(f"distance matrix must be {n}x{n}")
-        for i in range(n):
-            if dist[i][i] != 0:
-                raise ValueError(f"dist({points[i]!r}, {points[i]!r}) must be 0")
-            for j in range(n):
-                if i != j and dist[i][j] <= 0:
-                    raise ValueError(
-                        f"distinct points {points[i]!r}, {points[j]!r} require "
-                        f"positive distance, got {dist[i][j]}"
-                    )
-                if dist[i][j] != dist[j][i]:
-                    raise ValueError(
-                        f"asymmetric distances between {points[i]!r} and {points[j]!r}"
-                    )
-        for i in range(n):
-            for j in range(n):
-                dij = dist[i][j]
-                for k in range(n):
-                    if dij > dist[i][k] + dist[k][j]:
-                        raise ValueError(
-                            "triangle inequality violated: "
-                            f"d({points[i]!r},{points[j]!r}) = {dij} > "
-                            f"d({points[i]!r},{points[k]!r}) + d({points[k]!r},{points[j]!r}) = "
-                            f"{dist[i][k] + dist[k][j]}"
-                        )
+        scale = lcm(*{x.denominator for row in dist for x in row})
+        ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_scale", scale)
+        _check_axioms(points, dist, ints)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -90,6 +82,52 @@ class FinMetricSpace:
 
     def distance(self, a: Label, b: Label) -> Fraction:
         return self.dist[self.index(a)][self.index(b)]
+
+
+def _check_axioms(points, dist, ints) -> None:
+    """Raise on the first metric axiom that the scaled matrix ``ints`` breaks.
+
+    The whole matrix is tested at C speed first, and only a failing matrix is
+    scanned in the original order, pair by pair, to name the first violation;
+    ``dist`` gives the exact values for the message.
+    """
+    n = len(ints)
+    if (
+        any(ints[i][i] for i in range(n))
+        or any(min(row[:i] + row[i + 1 :], default=1) <= 0 for i, row in enumerate(ints))
+        or ints != tuple(zip(*ints))
+    ):
+        for i in range(n):
+            if ints[i][i] != 0:
+                raise ValueError(f"dist({points[i]!r}, {points[i]!r}) must be 0")
+            for j in range(n):
+                if i != j and ints[i][j] <= 0:
+                    raise ValueError(
+                        f"distinct points {points[i]!r}, {points[j]!r} require "
+                        f"positive distance, got {dist[i][j]}"
+                    )
+                if ints[i][j] != ints[j][i]:
+                    raise ValueError(
+                        f"asymmetric distances between {points[i]!r} and {points[j]!r}"
+                    )
+    # with symmetry, d(k, j) is row j's entry k, so one C-level pass over k
+    # checks a pair; the first violating pair in row-major order has i < j
+    for i, row in enumerate(ints):
+        for j in range(i + 1, n):
+            if row[j] > min(map(add, row, ints[j])):
+                k = next(k for k in range(n) if row[j] > row[k] + ints[k][j])
+                raise ValueError(
+                    "triangle inequality violated: "
+                    f"d({points[i]!r},{points[j]!r}) = {dist[i][j]} > "
+                    f"d({points[i]!r},{points[k]!r}) + d({points[k]!r},{points[j]!r}) = "
+                    f"{dist[i][k] + dist[k][j]}"
+                )
+
+
+def _over(rows, scale: int) -> tuple:
+    """The int matrix ``rows`` divided by ``scale``, one Fraction per distinct value."""
+    fractions = {x: Fraction(x, scale) for x in {x for row in rows for x in row}}
+    return tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
 
 
 def terminal() -> FinMetricSpace:
@@ -120,28 +158,29 @@ def tensor(x: FinMetricSpace, y: FinMetricSpace) -> FinMetricSpace:
 @lru_cache(maxsize=1024)
 def _tensor(x, y, x_shape, y_shape):
     points = tuple((a, b) for a in x.points for b in y.points)
-    ny = len(y)
-    dist = tuple(
-        tuple(
-            x.dist[i // ny][k // ny] + y.dist[i % ny][k % ny]
-            for k in range(len(points))
-        )
-        for i in range(len(points))
-    )
-    return FinMetricSpace(points, dist, factors=(x, y))
+    scale = lcm(x._scale, y._scale)
+    sx, sy = scale // x._scale, scale // y._scale
+    x_rows = [[d * sx for d in row] for row in x._ints]
+    y_rows = [[d * sy for d in row] for row in y._ints]
+    sums = [[a + b for a in xr for b in yr] for xr in x_rows for yr in y_rows]
+    return FinMetricSpace(points, _over(sums, scale), factors=(x, y))
 
 
 tensor.cache_info = _tensor.cache_info
 
 
 def _first_long_pair(domain: FinMetricSpace, codomain: FinMetricSpace, table) -> tuple | None:
-    """The first pair i < j that ``table`` sends farther apart, or None if it is short."""
+    """The first pair i < j that ``table`` sends farther apart, or None if it is short.
+
+    Compares the two integer matrices, each multiplied by the other's scale.
+    """
     targets = [codomain.index(t) for t in table]
-    dd, cd = domain.dist, codomain.dist
+    dd, cd = domain._ints, codomain._ints
+    sd, sc = domain._scale, codomain._scale
     for i, ti in enumerate(targets):
         row, image_row = dd[i], cd[ti]
         for j in range(i + 1, len(targets)):
-            if image_row[targets[j]] > row[j]:
+            if image_row[targets[j]] * sd > row[j] * sc:
                 return i, j
     return None
 

@@ -170,7 +170,12 @@ def independent_maps(s: Law, f1: ShortMap, f2: ShortMap) -> bool:
     resulting joint for independence. Call :func:`tupling_table` for the
     shortness diagnostic of the pairing itself.
     """
+    return _maps_independence(s, f1, f2)[0]
+
+
+def _maps_independence(s: Law, f1: ShortMap, f2: ShortMap):
+    """``(independent_maps(s, f1, f2), pairing_short)`` from one pairing table."""
     if f1.domain != s.space or f2.domain != s.space:
         raise ValueError("maps must be defined on the law's space")
-    cod, table, _ = tupling_table(f1, f2)
-    return is_independent(_image(cod, table, s.measure.weights))
+    cod, table, short = tupling_table(f1, f2)
+    return is_independent(_image(cod, table, s.measure.weights)), short

@@ -1,15 +1,15 @@
 """Exact Wasserstein-1 distance with primal and dual optimality certificates.
 
 The solver is a network simplex on the bipartite transportation graph
-between the two supports, with Bland's rule for anti-cycling. Distances and
-masses are scaled to integers over common denominators, so pricing and
-pivots run on Python ints, and the spanning tree of basic cells with its
-node potentials is kept from one pivot to the next. Zero-weight points are
-not nodes: the coupling is zero on their rows and columns, and the witness
-reaches them through its Lipschitz extension. Results become rationals
-again at the boundary, where the coupling, the shortness of the witness and
-the equality of primal and dual costs are checked in ``Fraction`` arithmetic
-on every call.
+between the two supports, with Bland's rule for anti-cycling. Costs are read
+from the space's integer distance matrix and masses are scaled to integers
+over one common denominator, so pricing and pivots run on Python ints, and
+the spanning tree of basic cells with its node potentials is kept from one
+pivot to the next. Zero-weight points are not nodes: the coupling is zero on
+their rows and columns, and the witness reaches them through its Lipschitz
+extension. Results become rationals again at the boundary, where the
+coupling, the shortness of the witness and the equality of primal and dual
+costs are checked in ``Fraction`` arithmetic on every call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import lcm
 from operator import sub
 
 from .measure import Measure, integrate
-from .metric import ShortFunctional, zero_functional
+from .metric import ShortFunctional, _as_fraction, zero_functional
 
 
 @dataclass(frozen=True)
@@ -39,34 +39,34 @@ class TransportPlan:
     cost: Fraction
 
     def __post_init__(self):
-        coupling = tuple(tuple(Fraction(x) for x in row) for row in self.coupling)
+        coupling = tuple(tuple(map(_as_fraction, row)) for row in self.coupling)
         object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "cost", Fraction(self.cost))
+        object.__setattr__(self, "cost", _as_fraction(self.cost))
         if self.source.space != self.target.space:
             raise ValueError("coupling endpoints live on different spaces")
         n = len(self.source.space)
         if len(coupling) != n or any(len(row) != n for row in coupling):
             raise ValueError(f"coupling must be {n}x{n}")
-        for row in coupling:
-            for x in row:
-                if x < 0:
-                    raise ValueError("coupling entries must be nonnegative")
-        for i, row in enumerate(coupling):
-            if sum(row) != self.source.weights[i]:
+        # zero cells add nothing to a sum, so every check reads the others only
+        cells = [(i, j, x) for i, row in enumerate(coupling) for j, x in enumerate(row) if x]
+        if any(x < 0 for _, _, x in cells):
+            raise ValueError("coupling entries must be nonnegative")
+        rows, cols = [0] * n, [0] * n
+        for i, j, x in cells:
+            rows[i] += x
+            cols[j] += x
+        for i, total in enumerate(rows):
+            if total != self.source.weights[i]:
                 raise ValueError(
-                    f"row {i} sums to {sum(row)}, expected {self.source.weights[i]}"
+                    f"row {i} sums to {total}, expected {self.source.weights[i]}"
                 )
-        for j in range(n):
-            col = sum(row[j] for row in coupling)
-            if col != self.target.weights[j]:
+        for j, total in enumerate(cols):
+            if total != self.target.weights[j]:
                 raise ValueError(
-                    f"column {j} sums to {col}, expected {self.target.weights[j]}"
+                    f"column {j} sums to {total}, expected {self.target.weights[j]}"
                 )
         dist = self.source.space.dist
-        total = sum(
-            (coupling[i][j] * dist[i][j] for i in range(n) for j in range(n)),
-            start=Fraction(0),
-        )
+        total = sum((x * dist[i][j] for i, j, x in cells), start=Fraction(0))
         if total != self.cost:
             raise ValueError(f"stated cost {self.cost} differs from actual {total}")
 
@@ -216,11 +216,10 @@ def wasserstein(p: Measure, q: Measure):
 
     rows = [i for i, x in enumerate(p.weights) if x]
     cols = [j for j, x in enumerate(q.weights) if x]
-    # distances from supp p over one denominator: these hold the costs and,
-    # by symmetry, every distance the witness envelope needs
-    dist = [space.dist[i] for i in rows]
-    d = lcm(*(x.denominator for row in dist for x in row))
-    scaled = [[x.numerator * (d // x.denominator) for x in row] for row in dist]
+    # the space's integer distances from supp p hold the costs and, by
+    # symmetry, every distance the witness envelope needs
+    scaled = [space._ints[i] for i in rows]
+    d = space._scale
     masses = [p.weights[i] for i in rows] + [q.weights[j] for j in cols]
     w = lcm(*(x.denominator for x in masses))
     units = [x.numerator * (w // x.denominator) for x in masses]

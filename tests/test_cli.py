@@ -1,12 +1,16 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kantorovich import jsonio, product, uniform
+from kantorovich import cli, jsonio, product, structure, uniform
+from kantorovich.structure import tupling_table
 from kantorovich.cli import MAX_CASES, Workspace, build_parser, main
 from kantorovich.measure import Measure
 from kantorovich.metric import FinMetricSpace
@@ -276,6 +280,18 @@ class TestIndependentMapsCommand:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "true"
 
+    def test_pairing_table_built_once(self, ws_file, capsys, monkeypatch):
+        calls = []
+
+        def counted(f1, f2):
+            calls.append((f1, f2))
+            return tupling_table(f1, f2)
+
+        monkeypatch.setattr(structure, "tupling_table", counted)
+        monkeypatch.setattr(cli, "tupling_table", counted, raising=False)
+        assert main(["independent-maps", "fair", "same", "swap", "--workspace", ws_file]) == 0
+        assert len(calls) == 1
+
 
 class TestConvolveCommand:
     def test_unit_is_neutral(self, ws_file, capsys):
@@ -327,6 +343,22 @@ class TestLawsCommand:
         assert main(["laws", "--seed", "1", "--cases", cases, "--law", "dirac_product"]) == 2
         err = capsys.readouterr().err
         assert f"limit of {MAX_CASES}" in err and "MAX_CASES" in err
+
+
+def test_closed_output_pipe_exits_1_quietly():
+    # the reader closes its end before any output, as `| head -c 10` does early
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "kantorovich.cli", "--json", "laws", "--seed", "1", "--cases", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert err == b""
 
 
 class TestUsageErrors:

@@ -1,6 +1,8 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -240,3 +242,205 @@ def test_functional_strategy_is_short(f):
     for a in d.points:
         for b in d.points:
             assert abs(f(a) - f(b)) <= d.distance(a, b)
+
+
+def _reference_axiom_error(points, dist):
+    """The metric axiom checks in plain Fraction arithmetic, scanning every triple."""
+    dist = [[Fraction(x) for x in row] for row in dist]
+    n = len(points)
+    try:
+        for i in range(n):
+            if dist[i][i] != 0:
+                raise ValueError(f"dist({points[i]!r}, {points[i]!r}) must be 0")
+            for j in range(n):
+                if i != j and dist[i][j] <= 0:
+                    raise ValueError(
+                        f"distinct points {points[i]!r}, {points[j]!r} require "
+                        f"positive distance, got {dist[i][j]}"
+                    )
+                if dist[i][j] != dist[j][i]:
+                    raise ValueError(
+                        f"asymmetric distances between {points[i]!r} and {points[j]!r}"
+                    )
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if dist[i][j] > dist[i][k] + dist[k][j]:
+                        raise ValueError(
+                            "triangle inequality violated: "
+                            f"d({points[i]!r},{points[j]!r}) = {dist[i][j]} > "
+                            f"d({points[i]!r},{points[k]!r}) + d({points[k]!r},{points[j]!r}) = "
+                            f"{dist[i][k] + dist[k][j]}"
+                        )
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _square_matrices(draw):
+    """Small matrices that often pass the first checks, so every check is reached."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    positive = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 6), Fraction(2), 5]
+    entries = st.sampled_from(positive if draw(st.booleans()) else [-1, 0] + positive)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return tuple(f"p{i}" for i in range(n)), tuple(tuple(row) for row in rows)
+
+
+def _axiom_error(points, dist):
+    try:
+        FinMetricSpace(points, dist)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestIntegerKernel:
+    @settings(max_examples=400)
+    @given(_square_matrices())
+    def test_integer_checks_match_the_fraction_scan(self, matrix):
+        points, dist = matrix
+        assert _axiom_error(points, dist) == _reference_axiom_error(points, dist)
+
+    # messages recorded with the Fraction checks that preceded the integer kernel
+    @pytest.mark.parametrize(
+        "points, dist, message",
+        [
+            (("a", "b"), ((1, 1), (1, 0)), "dist('a', 'a') must be 0"),
+            (("x",), ((Fraction(1, 2),),), "dist('x', 'x') must be 0"),
+            (
+                ("a", "b"),
+                ((0, 0), (0, 0)),
+                "distinct points 'a', 'b' require positive distance, got 0",
+            ),
+            (
+                ("a", "b"),
+                ((0, -1), (-1, 0)),
+                "distinct points 'a', 'b' require positive distance, got -1",
+            ),
+            (
+                ("a", "b"),
+                ((0, -1), (2, 0)),
+                "distinct points 'a', 'b' require positive distance, got -1",
+            ),
+            (("a", "b"), ((0, 1), (2, 0)), "asymmetric distances between 'a' and 'b'"),
+            (("a", "b"), ((0, 1), (0, 0)), "asymmetric distances between 'a' and 'b'"),
+            (
+                ("a", "b", "c"),
+                ((0, 1, 2), (3, 0, 1), (2, 1, 7)),
+                "asymmetric distances between 'a' and 'b'",
+            ),
+            (
+                ("a", "b", "c"),
+                ((0, 1, 2), (1, 0, 0), (2, 0, 0)),
+                "distinct points 'b', 'c' require positive distance, got 0",
+            ),
+            (
+                ("a", "b", "c"),
+                ((0, 1, 5), (1, 0, 1), (5, 1, 0)),
+                "triangle inequality violated: d('a','c') = 5 > d('a','b') + d('b','c') = 2",
+            ),
+            (
+                ("a", "b", "c", "d"),
+                ((0, 1, 1, 1), (1, 0, 3, "1/3"), (1, 3, 0, "1/2"), (1, "1/3", "1/2", 0)),
+                "triangle inequality violated: d('b','c') = 3 > d('b','a') + d('a','c') = 2",
+            ),
+            (
+                (("p", 0), ("p", 1), ("q", 0)),
+                (
+                    (0, Fraction(1, 3), Fraction(1, 2)),
+                    (Fraction(1, 3), 0, Fraction(7, 6)),
+                    (Fraction(1, 2), Fraction(7, 6), 0),
+                ),
+                "triangle inequality violated: d(('p', 1),('q', 0)) = 7/6 > "
+                "d(('p', 1),('p', 0)) + d(('p', 0),('q', 0)) = 5/6",
+            ),
+            (
+                (0, 1, 2, 3),
+                ((0, 2, 9, 4), (2, 0, 3, 1), (9, 3, 0, 1), (4, 1, 1, 0)),
+                "triangle inequality violated: d(0,2) = 9 > d(0,1) + d(1,2) = 5",
+            ),
+        ],
+    )
+    def test_bad_matrix_messages(self, points, dist, message):
+        with pytest.raises(ValueError) as info:
+            FinMetricSpace(points, dist)
+        assert str(info.value) == message
+
+    def test_coprime_denominators(self):
+        a, b = Fraction(1, 2**61 - 1), Fraction(1, 999983)
+        space = FinMetricSpace(("u", "v", "w"), ((0, a, a + b), (a, 0, b), (a + b, b, 0)))
+        assert space._scale == (2**61 - 1) * 999983
+        assert space._ints[0][2] == 999983 + 2**61 - 1
+        assert [[Fraction(x, space._scale) for x in row] for row in space._ints] == [
+            list(row) for row in space.dist
+        ]
+        # exceeding the triangle bound by the smallest step is still caught
+        tight = ((0, a, a + b + a * b), (a, 0, b), (a + b + a * b, b, 0))
+        with pytest.raises(ValueError, match="triangle") as info:
+            FinMetricSpace(("u", "v", "w"), tight)
+        assert str(info.value) == _reference_axiom_error(("u", "v", "w"), tight)
+
+    def test_tensor_of_different_scales_matches_fraction_sums(self):
+        third = Fraction(1, 3)
+        x = FinMetricSpace(("a", "b", "c"), ((0, third, 1), (third, 0, 1), (1, 1, 0)))
+        y = FinMetricSpace(("u", "v"), ((0, Fraction(5, 4)), (Fraction(5, 4), 0)))
+        z = FinMetricSpace(("s", "t"), ((0, Fraction(1, 999983)), (Fraction(1, 999983), 0)))
+        for left, right in [(x, y), (y, x), (tensor(x, y), z), (z, tensor(y, x))]:
+            product = tensor(left, right)
+            nr = len(right)
+            sums = tuple(
+                tuple(
+                    left.dist[i // nr][k // nr] + right.dist[i % nr][k % nr]
+                    for k in range(len(product))
+                )
+                for i in range(len(product))
+            )
+            plain = FinMetricSpace(product.points, sums)
+            assert product == plain
+            assert product.dist == sums
+            assert (product._ints, product._scale) == (plain._ints, plain._scale)
+
+    def test_random_space_matches_the_fraction_closure(self):
+        def fraction_closure(rng, max_points=6, min_points=2, prefix="x"):
+            n = rng.randint(min_points, max_points)
+            raw = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    raw[i][j] = raw[j][i] = Fraction(rng.randint(1, 24), rng.randint(1, 4))
+            for k in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        through = raw[i][k] + raw[k][j]
+                        if through < raw[i][j]:
+                            raw[i][j] = through
+            return tuple(f"{prefix}{i}" for i in range(n)), tuple(tuple(row) for row in raw)
+
+        for seed in range(50):
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                space = random_space(new)
+                assert (space.points, space.dist) == fraction_closure(old)
+            assert new.random() == old.random()
+
+    def test_cached_fields_take_no_part_in_eq_hash_or_repr(self):
+        exact = FinMetricSpace(("a", "b"), ((0, Fraction(3, 2)), (Fraction(3, 2), 0)))
+        parsed = FinMetricSpace(("a", "b"), (("0", "3/2"), ("3/2", "0")))
+        assert exact == parsed and hash(exact) == hash(parsed)
+        object.__setattr__(parsed, "_ints", ((0, 1), (1, 0)))
+        object.__setattr__(parsed, "_scale", 7)
+        assert exact == parsed and hash(exact) == hash(parsed)
+        assert repr(exact) == repr(parsed)
+        assert "_ints" not in repr(exact) and "_scale" not in repr(exact)
+        assert {f.name for f in fields(FinMetricSpace) if f.compare or f.repr} == {
+            "points",
+            "dist",
+            "factors",
+        }

@@ -55,6 +55,26 @@ class TestPlanInvariants:
             TransportPlan(p, p, diag, 1)
 
 
+    def test_messages_and_conversion(self):
+        # messages recorded with the check that summed every cell in Fraction
+        two = FinMetricSpace(("a", "b"), ((0, Fraction(3, 2)), (Fraction(3, 2), 0)))
+        p, q = uniform(two), Measure(two, (Fraction(1), Fraction(0)))
+        half = Fraction(1, 2)
+        for args, message in [
+            ((p, p, ((0, 0), (half, half)), 0), "row 0 sums to 0, expected 1/2"),
+            ((p, q, ((half, 0), (0, half)), 0), "column 0 sums to 1/2, expected 1"),
+            ((p, q, ((half, 0), (half, 0)), 1), "stated cost 1 differs from actual 3/4"),
+            ((p, q, ((0.5, 0), (0.5, 0)), 0), "stated cost 0 differs from actual 3/4"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                TransportPlan(*args)
+            assert str(info.value) == message
+        plan = TransportPlan(p, q, (("1/2", 0), (half, 0)), "3/4")
+        assert plan.coupling == ((half, 0), (half, 0)) and plan.cost == Fraction(3, 4)
+        assert all(type(x) is Fraction for row in plan.coupling for x in row)
+        assert type(plan.cost) is Fraction
+
+
 class TestWassersteinExamples:
     def test_identical_measures(self, three_point):
         p = uniform(three_point)

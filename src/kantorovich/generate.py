@@ -18,7 +18,6 @@ from .metric import (
     FinMetricSpace,
     ShortFunctional,
     ShortMap,
-    _over,
     mcshane_closure,
     tensor,
 )
@@ -47,7 +46,7 @@ def random_space(
                 if through < raw[i][j]:
                     raw[i][j] = through
     points = tuple(f"{prefix}{i}" for i in range(n))
-    return FinMetricSpace(points, _over(raw, 12))
+    return FinMetricSpace._from_ints(points, raw, 12)
 
 
 def random_measure(
@@ -58,7 +57,7 @@ def random_measure(
         raw = [rng.randint(0, max_numerator) for _ in space.points]
         total = sum(raw)
         if total:
-            return Measure(space, tuple(Fraction(x, total) for x in raw))
+            return Measure._from_units(space, raw, total)
 
 
 def random_measure_with_support(
@@ -73,8 +72,7 @@ def random_measure_with_support(
     raw = [0] * len(space)
     for i in chosen:
         raw[i] = rng.randint(1, max_numerator)
-    total = sum(raw)
-    return Measure(space, tuple(Fraction(x, total) for x in raw))
+    return Measure._from_units(space, raw, sum(raw))
 
 
 def random_functional(rng: random.Random, space: FinMetricSpace) -> ShortFunctional:

@@ -1,12 +1,30 @@
-"""Finitely-supported probability measures with exact rational weights."""
+"""Finitely-supported probability measures with exact rational weights.
+
+Weights are exact ``fractions.Fraction`` values. Each measure also keeps
+them scaled to integers over their least common denominator, and the sign
+and sum-to-one checks, equality, hashing, integration, pushforward and the
+joint and marginal maps all run on those ints; measures computed from other
+measures hand their ints to construction directly and make one ``Fraction``
+per distinct weight.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
-from .metric import FinMetricSpace, Label, ShortFunctional, ShortMap, _as_fraction
+from .metric import (
+    FinMetricSpace,
+    Label,
+    ShortFunctional,
+    ShortMap,
+    _as_fraction,
+    _over,
+    _reduced,
+    _to_units,
+)
 
 
 @dataclass(frozen=True)
@@ -16,22 +34,55 @@ class Measure:
     Weights are stored densely against the full point list of the space
     (zero-weight points retained), so equality is exact pointwise comparison
     of weight tables. Weights must be nonnegative and sum to exactly 1.
+    ``_units`` is ``weights`` scaled to integers by ``_denom``, the least
+    common denominator of its entries; that form is canonical, so equality
+    and hashing read it instead of the ``Fraction`` table.
     """
 
     space: FinMetricSpace
     weights: tuple
+    _kernel: InitVar[tuple | None] = None
+    _units: tuple = field(init=False, compare=False, repr=False)
+    _denom: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        weights = tuple(_as_fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != len(self.space):
+    def __post_init__(self, _kernel):
+        if _kernel is None:
+            weights = tuple(map(_as_fraction, self.weights))
+            object.__setattr__(self, "weights", weights)
+            units, denom = _to_units(weights)
+        else:
+            # weights was made from these ints by _from_units
+            units, denom = _kernel
+        if len(units) != len(self.space):
             raise ValueError("need one weight per point of the space")
-        for p, w in zip(self.space.points, weights):
-            if w < 0:
-                raise ValueError(f"negative weight {w} at {p!r}")
-        total = sum(weights)
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, expected exactly 1")
+        if min(units) < 0:
+            for p, w in zip(self.space.points, self.weights):
+                if w < 0:
+                    raise ValueError(f"negative weight {w} at {p!r}")
+        if sum(units) != denom:
+            raise ValueError(f"weights sum to {sum(self.weights)}, expected exactly 1")
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_denom", denom)
+
+    @classmethod
+    def _from_units(cls, space: FinMetricSpace, units, denom: int) -> "Measure":
+        """The measure with weights ``units[i] / denom``, checked like any other."""
+        units, denom = _reduced(units, denom)
+        return cls(space, _over((units,), denom)[0], (units, denom))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._denom == other._denom
+            and self._units == other._units
+            and self.space == other.space
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.space, self._denom, self._units))
 
     @classmethod
     def from_mapping(
@@ -53,39 +104,36 @@ class Measure:
 def dirac(space: FinMetricSpace, point: Label) -> Measure:
     """The unit of the monad: all mass at one point."""
     i = space.index(point)
-    return Measure(
-        space, tuple(Fraction(1) if j == i else Fraction(0) for j in range(len(space)))
-    )
+    return Measure._from_units(space, tuple(int(j == i) for j in range(len(space))), 1)
 
 
 def uniform(space: FinMetricSpace) -> Measure:
     n = len(space)
-    return Measure(space, (Fraction(1, n),) * n)
+    return Measure._from_units(space, (1,) * n, n)
 
 
 def integrate(f: ShortFunctional, p: Measure) -> Fraction:
     """The exact weighted sum of f against p."""
     if f.domain != p.space:
         raise ValueError("functional and measure live on different spaces")
-    return sum(
-        (v * w for v, w in zip(f.values, p.weights) if w), start=Fraction(0)
-    )
+    return Fraction(sum(map(mul, f._units, p._units)), f._denom * p._denom)
 
 
 def pushforward(f: ShortMap, p: Measure) -> Measure:
     """The image measure: mass of each point is sent through the table of f."""
     if f.domain != p.space:
         raise ValueError("map and measure live on different spaces")
-    return _image(f.codomain, f.table, p.weights)
+    return _image(f.codomain, f.table, p)
 
 
-def _image(codomain: FinMetricSpace, table, weights) -> Measure:
-    """The measure on ``codomain`` that sends each weight to its point in ``table``."""
-    out = [Fraction(0)] * len(codomain)
-    for target, w in zip(table, weights):
+def _image(codomain: FinMetricSpace, table, p: Measure) -> Measure:
+    """The measure on ``codomain`` that sends the mass of p at each point to its target."""
+    out = [0] * len(codomain)
+    index = codomain.index
+    for target, w in zip(table, p._units):
         if w:
-            out[codomain.index(target)] += w
-    return Measure(codomain, tuple(out))
+            out[index(target)] += w
+    return Measure._from_units(codomain, out, p._denom)
 
 
 def partial_integral(f: ShortFunctional, p: Measure) -> ShortFunctional:
@@ -101,12 +149,6 @@ def partial_integral(f: ShortFunctional, p: Measure) -> ShortFunctional:
     x, y = factors
     if p.space != x:
         raise ValueError("measure must live on the first tensor factor")
-    ny = len(y)
-    values = []
-    for j in range(ny):
-        total = Fraction(0)
-        for i, w in enumerate(p.weights):
-            if w:
-                total += w * f.values[i * ny + j]
-        values.append(total)
-    return ShortFunctional(y, tuple(values))
+    ny, units = len(y), f._units
+    values = [sum(map(mul, p._units, units[j::ny])) for j in range(ny)]
+    return ShortFunctional._from_units(y, values, f._denom * p._denom)

@@ -1,20 +1,24 @@
 """Finite metric spaces, short (1-Lipschitz) maps, and the tensor product.
 
-All distances are exact ``fractions.Fraction`` values and every invariant
-(metric axioms, shortness) is checked exhaustively at construction time.
-Each space also keeps its distance matrix scaled to integers over one common
-denominator, and the checks run on those ints: the triangle inequality is
-still tested on every triple, one C-level pass over the third point per
-pair. Values are immutable after construction; every operation is a pure
-function.
+All distances and functional values are exact ``fractions.Fraction`` values
+and every invariant (metric axioms, shortness) is checked exhaustively at
+construction time. Each space also keeps its distance matrix scaled to
+integers over one common denominator, and each short functional its values,
+and the checks run on those ints: the triangle inequality is still tested on
+every triple, and the Lipschitz bound on every pair, one C-level pass per
+point or pair. Spaces built from ints (tensors, generated spaces) hand them
+to construction directly, and their public ``Fraction`` entries are made
+once per distinct value. Values are immutable after construction; every
+operation is a pure function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add
 from typing import Hashable, Iterable, Mapping
 
@@ -42,34 +46,67 @@ class FinMetricSpace:
     construction metadata and takes no part in equality or hashing.
     ``_ints`` is ``dist`` scaled to integers by ``_scale``, the least common
     denominator of its entries; the axioms are checked on it, and so are
-    map shortness and the transport costs.
+    map shortness, functional shortness and the transport costs. The hash
+    is computed on first use and kept.
     """
 
     points: tuple
     dist: tuple
     factors: tuple | None = field(default=None, compare=False)
+    _kernel: InitVar[tuple | None] = None
     _index: dict = field(init=False, compare=False, repr=False)
     _ints: tuple = field(init=False, compare=False, repr=False)
     _scale: int = field(init=False, compare=False, repr=False)
+    _hash: int | None = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _kernel):
         points = tuple(self.points)
-        dist = tuple(tuple(map(_as_fraction, row)) for row in self.dist)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
+        object.__setattr__(self, "_hash", None)
         n = len(points)
         if n == 0:
             raise ValueError("a metric space needs at least one point")
         if len(self._index) != n:
             raise ValueError("point labels must be pairwise distinct")
-        if len(dist) != n or any(len(row) != n for row in dist):
+        if _kernel is None:
+            dist = tuple(tuple(map(_as_fraction, row)) for row in self.dist)
+            object.__setattr__(self, "dist", dist)
+            scale = lcm(*{x.denominator for row in dist for x in row})
+            ints = tuple(
+                tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist
+            )
+        else:
+            # dist was made from these ints by _from_ints
+            dist = self.dist
+            ints, scale = _kernel
+        if len(ints) != n or any(len(row) != n for row in ints):
             raise ValueError(f"distance matrix must be {n}x{n}")
-        scale = lcm(*{x.denominator for row in dist for x in row})
-        ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist)
         object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_scale", scale)
         _check_axioms(points, dist, ints)
+
+    @classmethod
+    def _from_ints(cls, points, rows, scale: int, factors=None) -> "FinMetricSpace":
+        """The space with distances ``rows[i][j] / scale``, checked like any other."""
+        g = gcd(scale, *chain.from_iterable(rows))
+        if g == 1:
+            ints = tuple(map(tuple, rows))
+        else:
+            ints, scale = tuple(tuple(x // g for x in row) for row in rows), scale // g
+        return cls(points, _over(ints, scale), factors, (ints, scale))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points and self.dist == other.dist
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.points, self.dist)))
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.points)
@@ -130,6 +167,20 @@ def _over(rows, scale: int) -> tuple:
     return tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
 
 
+def _to_units(values) -> tuple:
+    """``(units, denom)``: the Fractions ``values`` over their least common denominator."""
+    denom = lcm(*{x.denominator for x in values})
+    return tuple(x.numerator * (denom // x.denominator) for x in values), denom
+
+
+def _reduced(units, denom: int):
+    """``units`` and ``denom`` divided by their greatest common divisor."""
+    g = gcd(denom, *units)
+    if g == 1:
+        return tuple(units), denom
+    return tuple(x // g for x in units), denom // g
+
+
 def terminal() -> FinMetricSpace:
     """The one-point space; the tensor unit and terminal object."""
     return FinMetricSpace((TERMINAL_POINT,), ((Fraction(0),),))
@@ -163,7 +214,7 @@ def _tensor(x, y, x_shape, y_shape):
     x_rows = [[d * sx for d in row] for row in x._ints]
     y_rows = [[d * sy for d in row] for row in y._ints]
     sums = [[a + b for a in xr for b in yr] for xr in x_rows for yr in y_rows]
-    return FinMetricSpace(points, _over(sums, scale), factors=(x, y))
+    return FinMetricSpace._from_ints(points, sums, scale, factors=(x, y))
 
 
 tensor.cache_info = _tensor.cache_info
@@ -222,6 +273,9 @@ class ShortMap:
         missing = [p for p in domain.points if p not in mapping]
         if missing:
             raise ValueError(f"table missing domain points: {missing!r}")
+        unknown = [p for p in mapping if p not in domain._index]
+        if unknown:
+            raise ValueError(f"table names unknown domain points: {unknown!r}")
         return cls(domain, codomain, tuple(mapping[p] for p in domain.points))
 
     def __call__(self, point: Label) -> Label:
@@ -308,42 +362,85 @@ class ShortFunctional:
     """A 1-Lipschitz rational-valued function on a finite metric space.
 
     ``values`` is aligned with ``domain.points``. The Lipschitz bound
-    |f(a) - f(b)| <= d(a, b) is checked over all pairs on construction.
+    |f(a) - f(b)| <= d(a, b) is checked over all pairs on construction, on
+    ``_units``: the values scaled to integers by ``_denom``, the least common
+    denominator of their entries.
     """
 
     domain: FinMetricSpace
     values: tuple
+    _kernel: InitVar[tuple | None] = None
+    _units: tuple = field(init=False, compare=False, repr=False)
+    _denom: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        values = tuple(_as_fraction(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != len(self.domain):
+    def __post_init__(self, _kernel):
+        if _kernel is None:
+            values = tuple(map(_as_fraction, self.values))
+            object.__setattr__(self, "values", values)
+            units, denom = _to_units(values)
+        else:
+            # values was made from these ints by _from_units
+            units, denom = _kernel
+        if len(units) != len(self.domain):
             raise ValueError("functional must assign a value to every point")
-        d = self.domain.dist
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                gap = values[i] - values[j]
-                if gap < 0:
-                    gap = -gap
-                if gap > d[i][j]:
-                    raise ValueError(
-                        "functional is not short: "
-                        f"|f({self.domain.points[i]!r}) - f({self.domain.points[j]!r})| = {gap} > "
-                        f"d = {d[i][j]}"
-                    )
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_denom", denom)
+        if not _is_short(self.domain, units, denom):
+            values, d = self.values, self.domain.dist
+            for i in range(len(values)):
+                for j in range(i + 1, len(values)):
+                    gap = abs(values[i] - values[j])
+                    if gap > d[i][j]:
+                        raise ValueError(
+                            "functional is not short: "
+                            f"|f({self.domain.points[i]!r}) - f({self.domain.points[j]!r})| = "
+                            f"{gap} > d = {d[i][j]}"
+                        )
+
+    @classmethod
+    def _from_units(cls, domain: FinMetricSpace, units, denom: int) -> "ShortFunctional":
+        """The functional with values ``units[i] / denom``, checked like any other."""
+        units, denom = _reduced(units, denom)
+        return cls(domain, _over((units,), denom)[0], (units, denom))
 
     @classmethod
     def from_mapping(
         cls, domain: FinMetricSpace, mapping: Mapping[Label, Fraction]
     ) -> "ShortFunctional":
+        unknown = [p for p in mapping if p not in domain._index]
+        if unknown:
+            raise ValueError(f"values name unknown points: {unknown!r}")
         return cls(domain, tuple(_as_fraction(mapping.get(p, 0)) for p in domain.points))
 
     def __call__(self, point: Label) -> Fraction:
         return self.values[self.domain.index(point)]
 
 
+def _common(domain: FinMetricSpace, units, denom: int):
+    """``units / denom`` and ``domain``'s int matrix over their common denominator.
+
+    Returns ``(values, rows, scale)``; each side is multiplied by the
+    other's share of the lcm, so an unscaled side is passed through as is.
+    """
+    scale = lcm(denom, domain._scale)
+    a, b = scale // denom, scale // domain._scale
+    values = units if a == 1 else [x * a for x in units]
+    rows = domain._ints if b == 1 else [[x * b for x in row] for row in domain._ints]
+    return values, rows, scale
+
+
+def _is_short(domain: FinMetricSpace, units, denom: int) -> bool:
+    """Whether f(i) - f(j) <= d(i, j) for every ordered pair, on ints.
+
+    Both orders of every pair are covered, so this is the Lipschitz bound;
+    each point is one C-level pass, f(i) <= min over j of d(i, j) + f(j).
+    """
+    values, rows, _ = _common(domain, units, denom)
+    return all(v <= min(map(add, row, values)) for v, row in zip(values, rows))
+
+
 def zero_functional(x: FinMetricSpace) -> ShortFunctional:
-    return ShortFunctional(x, (Fraction(0),) * len(x))
+    return ShortFunctional._from_units(x, (0,) * len(x), 1)
 
 
 def sum_functional(f: ShortFunctional, g: ShortFunctional) -> ShortFunctional:
@@ -353,8 +450,10 @@ def sum_functional(f: ShortFunctional, g: ShortFunctional) -> ShortFunctional:
     the constructor check never fails.
     """
     dom = tensor(f.domain, g.domain)
-    return ShortFunctional(
-        dom, tuple(f(a) + g(b) for a, b in dom.points)
+    denom = lcm(f._denom, g._denom)
+    a, b = denom // f._denom, denom // g._denom
+    return ShortFunctional._from_units(
+        dom, [x * a + y * b for x in f._units for y in g._units], denom
     )
 
 
@@ -367,8 +466,7 @@ def mcshane_closure(space: FinMetricSpace, values: Iterable) -> ShortFunctional:
     raw = [_as_fraction(v) for v in values]
     if len(raw) != len(space):
         raise ValueError("need one value per point")
-    d = space.dist
-    closed = tuple(
-        min(raw[j] + d[i][j] for j in range(len(raw))) for i in range(len(raw))
+    units, rows, scale = _common(space, *_to_units(raw))
+    return ShortFunctional._from_units(
+        space, [min(map(add, row, units)) for row in rows], scale
     )
-    return ShortFunctional(space, closed)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .measure import Measure, dirac, pushforward
-from .metric import FinMetricSpace, ShortMap, _as_fraction
+from .metric import FinMetricSpace, ShortMap, _as_fraction, _to_units
 from .transport import wasserstein_distance
 
 
@@ -18,12 +19,15 @@ class NestedMeasure:
     The outer distribution is stored extensionally: an ordered list of inner
     measures and one exact weight each. Duplicate inner measures are allowed
     here and merged only where distinct points are required (see
-    :func:`wasserstein_space`).
+    :func:`wasserstein_space`). ``_units`` is ``weights`` scaled to integers
+    by ``_denom``, their least common denominator, as for :class:`Measure`.
     """
 
     base: FinMetricSpace
     inner: tuple
     weights: tuple
+    _units: tuple = field(init=False, compare=False, repr=False)
+    _denom: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         inner = tuple(self.inner)
@@ -37,22 +41,24 @@ class NestedMeasure:
         for m in inner:
             if m.space != self.base:
                 raise ValueError("all inner measures must live on the base space")
-        for w in weights:
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
-        if sum(weights) != 1:
+        units, denom = _to_units(weights)
+        if min(units) < 0:
+            raise ValueError(f"negative weight {next(w for w in weights if w < 0)}")
+        if sum(units) != denom:
             raise ValueError("outer weights must sum to exactly 1")
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_denom", denom)
 
 
 def expectation(mu: NestedMeasure) -> Measure:
     """The monad multiplication: the average of the inner measures."""
-    totals = [Fraction(0)] * len(mu.base)
-    for m, w in zip(mu.inner, mu.weights):
+    denom = lcm(*(m._denom for m in mu.inner))
+    totals = [0] * len(mu.base)
+    for m, w in zip(mu.inner, mu._units):
         if w:
-            for k, x in enumerate(m.weights):
-                if x:
-                    totals[k] += w * x
-    return Measure(mu.base, tuple(totals))
+            w *= denom // m._denom
+            totals = [t + w * x for t, x in zip(totals, m._units)]
+    return Measure._from_units(mu.base, totals, denom * mu._denom)
 
 
 def unit_nested(p: Measure) -> NestedMeasure:

@@ -9,7 +9,6 @@ law suite checks all coherence conditions exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .measure import Measure, _image, dirac, pushforward
@@ -63,8 +62,9 @@ class InternalMonoid:
 def product(p: Measure, q: Measure) -> Measure:
     """The independent joint of p and q on the tensor of their spaces."""
     space = tensor(p.space, q.space)
-    return Measure(
-        space, tuple(wp * wq for wp in p.weights for wq in q.weights)
+    units = q._units
+    return Measure._from_units(
+        space, [a * b for a in p._units for b in units], p._denom * q._denom
     )
 
 
@@ -80,14 +80,10 @@ def _factors(r: Measure):
 def marginals(r: Measure):
     """The pair of marginal measures of a joint on a tensor space."""
     x, y = _factors(r)
-    ny = len(y)
-    wx = [Fraction(0)] * len(x)
-    wy = [Fraction(0)] * ny
-    for k, w in enumerate(r.weights):
-        if w:
-            wx[k // ny] += w
-            wy[k % ny] += w
-    return Measure(x, tuple(wx)), Measure(y, tuple(wy))
+    ny, units = len(y), r._units
+    wx = [sum(units[k : k + ny]) for k in range(0, len(units), ny)]
+    wy = [sum(units[k::ny]) for k in range(ny)]
+    return Measure._from_units(x, wx, r._denom), Measure._from_units(y, wy, r._denom)
 
 
 def is_independent(r: Measure) -> bool:
@@ -178,4 +174,4 @@ def _maps_independence(s: Law, f1: ShortMap, f2: ShortMap):
     if f1.domain != s.space or f2.domain != s.space:
         raise ValueError("maps must be defined on the law's space")
     cod, table, short = tupling_table(f1, f2)
-    return is_independent(_image(cod, table, s.measure.weights)), short
+    return is_independent(_image(cod, table, s.measure)), short

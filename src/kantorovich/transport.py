@@ -2,21 +2,27 @@
 
 The solver is a network simplex on the bipartite transportation graph
 between the two supports, with Bland's rule for anti-cycling. Costs are read
-from the space's integer distance matrix and masses are scaled to integers
-over one common denominator, so pricing and pivots run on Python ints, and
-the spanning tree of basic cells with its node potentials is kept from one
-pivot to the next. Zero-weight points are not nodes: the coupling is zero on
-their rows and columns, and the witness reaches them through its Lipschitz
-extension. Results become rationals again at the boundary, where the
-coupling, the shortness of the witness and the equality of primal and dual
-costs are checked in ``Fraction`` arithmetic on every call.
+from the space's integer distance matrix and masses from the two measures'
+integer weights over one common denominator, so pricing and pivots run on
+Python ints, and the spanning tree of basic cells with its node potentials
+is kept from one pivot to the next. Zero-weight points are not nodes: the
+coupling is zero on their rows and columns, and the witness reaches them
+through its Lipschitz extension. Results become rationals again at the
+boundary, and all three certificates are checked exactly on every call: the
+coupling's marginals and cost in ``Fraction`` arithmetic, the shortness of
+the witness by the construction of its ``ShortFunctional`` (on ints, over
+every pair), and the equality of primal and dual costs on the exact
+integrals.
+
+The brute-force oracle shares no code with the solver: it enumerates the
+spanning trees of the support graph depth first and scales masses and
+distances by its own common denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from operator import sub
 
@@ -214,17 +220,18 @@ def wasserstein(p: Measure, q: Measure):
         plan = TransportPlan(p, q, coupling, Fraction(0))
         return Fraction(0), plan, DualWitness(zero_functional(space))
 
-    rows = [i for i, x in enumerate(p.weights) if x]
-    cols = [j for j, x in enumerate(q.weights) if x]
+    rows = [i for i, x in enumerate(p._units) if x]
+    cols = [j for j, x in enumerate(q._units) if x]
     # the space's integer distances from supp p hold the costs and, by
     # symmetry, every distance the witness envelope needs
     scaled = [space._ints[i] for i in rows]
     d = space._scale
-    masses = [p.weights[i] for i in rows] + [q.weights[j] for j in cols]
-    w = lcm(*(x.denominator for x in masses))
-    units = [x.numerator * (w // x.denominator) for x in masses]
+    w = lcm(p._denom, q._denom)
+    sp, sq = w // p._denom, w // q._denom
     costs = [[row[j] for j in cols] for row in scaled]
-    flows, u = _solve_transportation(costs, units[: len(rows)], units[len(rows) :])
+    flows, u = _solve_transportation(
+        costs, [p._units[i] * sp for i in rows], [q._units[j] * sq for j in cols]
+    )
 
     grid = [[Fraction(0)] * n for _ in range(n)]
     total = 0
@@ -236,7 +243,7 @@ def wasserstein(p: Measure, q: Measure):
 
     values = [max(map(sub, u, column)) for column in zip(*scaled)]
     base = values[0]
-    potential = ShortFunctional(space, tuple(Fraction(x - base, d) for x in values))
+    potential = ShortFunctional._from_units(space, [x - base for x in values], d)
     witness = DualWitness(potential)
     attained = integrate(potential, p) - integrate(potential, q)
     if attained != cost:
@@ -256,7 +263,12 @@ def wasserstein_oracle(p: Measure, q: Measure) -> Fraction:
 
     Enumerates every basic feasible solution of the transportation polytope,
     one per spanning tree of the bipartite support graph, and returns the
-    minimum cost. Completely independent of the simplex pivoting path.
+    minimum cost. Trees are grown depth first over the cells in row-major
+    order, and a cell that would close a cycle is dropped as soon as it is
+    reached, by its two ends' component labels. Each tree's flows come from
+    peeling its leaves, on masses and distances scaled to integers by the
+    oracle's own common denominators. Completely independent of the simplex
+    pivoting path: it shares no code with the solver.
     """
     if p.space != q.space:
         raise ValueError("measures live on different spaces")
@@ -265,58 +277,59 @@ def wasserstein_oracle(p: Measure, q: Measure) -> Fraction:
     m, n = len(src), len(tgt)
     if m + n > 8:
         raise ValueError("oracle handles combined support size at most 8")
-    dist = p.space.dist
-    edges = [(a, b) for a in range(m) for b in range(n)]
+    dist = [[p.space.dist[i][j] for j, _ in tgt] for i, _ in src]
+    mass_scale = lcm(*(w.denominator for _, w in src + tgt))
+    dist_scale = lcm(*(x.denominator for row in dist for x in row))
+    balance = [w.numerator * (mass_scale // w.denominator) for _, w in src]
+    balance += [-w.numerator * (mass_scale // w.denominator) for _, w in tgt]
+    cost = [[x.numerator * (dist_scale // x.denominator) for x in row] for row in dist]
+    cells = [(a, m + b) for a in range(m) for b in range(n)]
     nodes = m + n
+    # node x's tree degree and the XOR of its tree neighbours, so a leaf's
+    # one neighbour is read off directly
+    degree, others = [0] * nodes, [0] * nodes
     best = None
-    for tree in combinations(edges, nodes - 1):
-        parent = list(range(nodes))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for a, b in tree:
-            ra, rb = find(a), find(m + b)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if not acyclic:
-            continue
-
-        balance = [w for _, w in src] + [-w for _, w in tgt]
-        incident = {k: [] for k in range(nodes)}
-        for e, (a, b) in enumerate(tree):
-            incident[a].append(e)
-            incident[m + b].append(e)
-        alive = [True] * len(tree)
-        degree = [len(incident[k]) for k in range(nodes)]
-        leaves = [k for k in range(nodes) if degree[k] == 1]
-        cost = Fraction(0)
-        feasible = True
+    def tree_cost():
+        deg, nbr, bal = degree[:], others[:], balance[:]
+        leaves = [x for x in range(nodes) if deg[x] == 1]
+        total = 0
         for _ in range(nodes - 1):
-            leaf = leaves.pop()
-            e = next(idx for idx in incident[leaf] if alive[idx])
-            a, b = tree[e]
-            flow = balance[a] if leaf == a else -balance[m + b]
+            x = leaves.pop()
+            y = nbr[x]
+            # a leaf source ships all it has left, a leaf target takes all it lacks
+            flow, a, b = (bal[x], x, y) if x < m else (-bal[x], y, x)
             if flow < 0:
-                feasible = False
-                break
-            alive[e] = False
-            other = m + b if leaf == a else a
-            if leaf == a:
-                balance[m + b] += flow
-            else:
-                balance[a] -= flow
-            degree[leaf] -= 1
-            degree[other] -= 1
-            if degree[other] == 1:
-                leaves.append(other)
-            cost += flow * dist[src[a][0]][tgt[b][0]]
-        if feasible and (best is None or cost < best):
-            best = cost
-    return best
+                return None
+            total += flow * cost[a][b - m]
+            bal[y] += bal[x]
+            nbr[y] ^= x
+            deg[y] -= 1
+            if deg[y] == 1:
+                leaves.append(y)
+        return total
+
+    def grow(start, size, label):
+        nonlocal best
+        if size == nodes - 1:
+            total = tree_cost()
+            if total is not None and (best is None or total < best):
+                best = total
+            return
+        for c in range(start, len(cells) - (nodes - 2 - size)):
+            a, b = cells[c]
+            la, lb = label[a], label[b]
+            if la == lb:
+                continue
+            degree[a] += 1
+            degree[b] += 1
+            others[a] ^= b
+            others[b] ^= a
+            grow(c + 1, size + 1, [la if x == lb else x for x in label])
+            degree[a] -= 1
+            degree[b] -= 1
+            others[a] ^= b
+            others[b] ^= a
+
+    grow(0, 0, list(range(nodes)))
+    return Fraction(best, mass_scale * dist_scale)

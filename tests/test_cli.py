@@ -205,6 +205,17 @@ class TestMalformedShapes:
         assert captured.err.startswith("error: ") and field in captured.err
 
 
+class TestUnknownLabels:
+    def test_map_table_naming_a_non_domain_point_exits_2(self, tmp_path, ws_file, capsys):
+        bad = tmp_path / "bad.json"
+        typo = {"domain": "X", "codomain": "X", "table": {"a": "a", "b": "b", "zz": "a"}}
+        bad.write_text(json.dumps({"maps": {"typo": typo}}))
+        assert main(["validate", "--workspace", ws_file, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "['zz']" in captured.err
+
+
 class TestDistanceCommand:
     def test_prints_exact_value(self, ws_file, capsys):
         assert main(["distance", "point", "fair", "--workspace", ws_file]) == 0

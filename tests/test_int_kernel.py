@@ -1,0 +1,243 @@
+"""The integer paths of measures and functionals against plain Fraction loops.
+
+Every property below recomputes a result with ``Fraction`` arithmetic in the
+test itself and compares it with what the package computes on ints.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from kantorovich import (
+    Measure,
+    NestedMeasure,
+    ShortFunctional,
+    expectation,
+    integrate,
+    marginals,
+    partial_integral,
+    product,
+    pushforward,
+    tensor,
+)
+from kantorovich.generate import random_short_map
+
+from strategies import functionals_on, metric_spaces
+
+# small denominators plus a Mersenne prime and a prime near a million, so
+# the common denominators of these weights are products of coprime parts
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 12, 999983, 2**61 - 1)
+
+_rationals = st.builds(
+    Fraction, st.integers(min_value=0, max_value=2**62), st.sampled_from(DENOMINATORS)
+)
+
+
+@st.composite
+def weight_tables(draw, n):
+    """Nonnegative rationals summing to 1, with mixed coprime denominators."""
+    raw = draw(st.lists(_rationals, min_size=n, max_size=n).filter(lambda xs: sum(xs) > 0))
+    total = sum(raw)
+    return tuple(x / total for x in raw)
+
+
+@st.composite
+def measures_on(draw, space):
+    return Measure(space, draw(weight_tables(len(space))))
+
+
+@st.composite
+def near_misses(draw, n):
+    """Weight tables that are valid, or off by a sign, a unit or one entry."""
+    weights = list(draw(weight_tables(n)))
+    kind = draw(st.sampled_from(("valid", "negative", "sum", "length")))
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    if kind == "negative":
+        weights[i] = -draw(_rationals) - Fraction(1, draw(st.sampled_from(DENOMINATORS)))
+    elif kind == "sum":
+        sign = draw(st.sampled_from((-1, 1)))
+        weights[i] += Fraction(sign, draw(st.sampled_from(DENOMINATORS)))
+    elif kind == "length":
+        weights.append(Fraction(0))
+    return tuple(weights)
+
+
+def _verdict(make):
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _measure_verdict(space, weights):
+    """Measure's construction checks as a plain Fraction loop."""
+    weights = tuple(Fraction(w) for w in weights)
+    if len(weights) != len(space):
+        return "need one weight per point of the space"
+    for p, w in zip(space.points, weights):
+        if w < 0:
+            return f"negative weight {w} at {p!r}"
+    total = sum(weights)
+    if total != 1:
+        return f"weights sum to {total}, expected exactly 1"
+    return None
+
+
+def _functional_verdict(space, values):
+    """ShortFunctional's construction checks as a plain Fraction loop."""
+    values = tuple(Fraction(v) for v in values)
+    if len(values) != len(space):
+        return "functional must assign a value to every point"
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            gap = abs(values[i] - values[j])
+            if gap > space.dist[i][j]:
+                return (
+                    "functional is not short: "
+                    f"|f({space.points[i]!r}) - f({space.points[j]!r})| = {gap} > "
+                    f"d = {space.dist[i][j]}"
+                )
+    return None
+
+
+@st.composite
+def spaces_with_weights(draw):
+    space = draw(metric_spaces(1, 4))
+    return space, draw(near_misses(len(space)))
+
+
+class TestMeasureConstruction:
+    @given(spaces_with_weights())
+    @settings(max_examples=100)
+    def test_same_verdict_and_message(self, case):
+        space, weights = case
+        assert _verdict(lambda: Measure(space, weights)) == _measure_verdict(space, weights)
+
+    @given(spaces_with_weights(), st.sampled_from(DENOMINATORS))
+    @settings(max_examples=100)
+    def test_units_path_agrees_with_the_fraction_path(self, case, extra):
+        space, weights = case
+        denom = lcm(*(Fraction(w).denominator for w in weights)) * extra
+        units = [int(w * denom) for w in weights]
+        expected = _measure_verdict(space, weights)
+        assert _verdict(lambda: Measure._from_units(space, units, denom)) == expected
+        if expected is None:
+            fast, slow = Measure._from_units(space, units, denom), Measure(space, weights)
+            assert fast == slow and hash(fast) == hash(slow)
+            assert fast.weights == slow.weights
+            assert (fast._units, fast._denom) == (slow._units, slow._denom)
+            assert fast._denom == lcm(*(w.denominator for w in slow.weights))
+
+    @pytest.mark.parametrize("denom", [2**61 - 1, 999983])
+    def test_coprime_denominators(self, two_point, denom):
+        other = 999983 if denom != 999983 else 2**61 - 1
+        weights = (Fraction(1, denom), 1 - Fraction(1, denom))
+        assert Measure(two_point, weights).weights == weights
+        off = (Fraction(1, denom), 1 - Fraction(1, other))
+        expected = _measure_verdict(two_point, off)
+        assert expected is not None and _verdict(lambda: Measure(two_point, off)) == expected
+        negative = (Fraction(-1, denom), 1 + Fraction(1, denom))
+        assert _verdict(lambda: Measure(two_point, negative)) == (
+            f"negative weight -1/{denom} at 'a'"
+        )
+
+
+# fewer examples than the default, since each draws two spaces and their measures
+class TestMeasureMaps:
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_product(self, data):
+        x, y = data.draw(metric_spaces(1, 3, "x")), data.draw(metric_spaces(1, 3, "y"))
+        p, q = data.draw(measures_on(x)), data.draw(measures_on(y))
+        joint = product(p, q)
+        assert joint.weights == tuple(a * b for a in p.weights for b in q.weights)
+        assert joint == Measure(tensor(x, y), joint.weights)
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_marginals(self, data):
+        x, y = data.draw(metric_spaces(1, 3, "x")), data.draw(metric_spaces(1, 3, "y"))
+        xy = tensor(x, y)
+        r = data.draw(measures_on(xy))
+        wx, wy = [Fraction(0)] * len(x), [Fraction(0)] * len(y)
+        for (a, b), w in zip(xy.points, r.weights):
+            wx[x.index(a)] += w
+            wy[y.index(b)] += w
+        px, py = marginals(r)
+        assert (px.weights, py.weights) == (tuple(wx), tuple(wy))
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_pushforward(self, data):
+        x, y = data.draw(metric_spaces(1, 4, "x")), data.draw(metric_spaces(1, 4, "y"))
+        f = random_short_map(data.draw(st.randoms(use_true_random=False)), x, y)
+        p = data.draw(measures_on(x))
+        out = [Fraction(0)] * len(y)
+        for a, w in zip(x.points, p.weights):
+            out[y.index(f(a))] += w
+        assert pushforward(f, p).weights == tuple(out)
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_integrate(self, data):
+        x = data.draw(metric_spaces(1, 4))
+        f, p = data.draw(functionals_on(x)), data.draw(measures_on(x))
+        expected = sum((v * w for v, w in zip(f.values, p.weights)), start=Fraction(0))
+        assert integrate(f, p) == expected and isinstance(integrate(f, p), Fraction)
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_partial_integral(self, data):
+        x, y = data.draw(metric_spaces(1, 3, "x")), data.draw(metric_spaces(1, 3, "y"))
+        f = data.draw(functionals_on(tensor(x, y)))
+        p = data.draw(measures_on(x))
+        expected = tuple(
+            sum(
+                (w * f((a, b)) for a, w in zip(x.points, p.weights)),
+                start=Fraction(0),
+            )
+            for b in y.points
+        )
+        assert partial_integral(f, p).values == expected
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_expectation(self, data):
+        x = data.draw(metric_spaces(1, 4))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        inner = tuple(data.draw(measures_on(x)) for _ in range(k))
+        outer = data.draw(weight_tables(k))
+        totals = [Fraction(0)] * len(x)
+        for m, w in zip(inner, outer):
+            for i, v in enumerate(m.weights):
+                totals[i] += w * v
+        assert expectation(NestedMeasure(x, inner, outer)).weights == tuple(totals)
+
+
+class TestFunctionalConstruction:
+    @given(
+        st.data(),
+        st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=12),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=100)
+    def test_same_verdict_and_message(self, data, values):
+        space = data.draw(metric_spaces(1, 4))
+        values = tuple(values[: len(space)])
+        expected = _functional_verdict(space, values)
+        assert _verdict(lambda: ShortFunctional(space, values)) == expected
+
+    @given(st.data())
+    def test_short_values_pass_through_the_units_path(self, data):
+        space = data.draw(metric_spaces(1, 4))
+        f = data.draw(functionals_on(space))
+        scale = lcm(*(v.denominator for v in f.values)) * 999983
+        same = ShortFunctional._from_units(space, [int(v * scale) for v in f.values], scale)
+        assert same == f and same._denom == f._denom

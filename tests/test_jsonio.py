@@ -199,6 +199,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="bad label 5"):
             jsonio.map_from_json(obj)
 
+    def test_map_table_naming_unknown_points_rejected(self, two_point):
+        obj = jsonio.map_to_json(identity(two_point))
+        obj["table"]["zz"] = "a"
+        with pytest.raises(ValueError, match=r"unknown domain points: \['zz'\]"):
+            jsonio.map_from_json(obj)
+
+    def test_functional_naming_unknown_points_rejected(self, two_point):
+        obj = {"domain": jsonio.space_to_json(two_point), "values": {"a": "1", "typo": "7"}}
+        with pytest.raises(ValueError, match=r"unknown points: \['typo'\]"):
+            jsonio.functional_from_json(obj)
+
     def test_nested_weights_must_be_a_list(self, two_point):
         obj = jsonio.nested_to_json(unit_nested(uniform(two_point)))
         obj["weights"] = "1"

@@ -133,6 +133,10 @@ class TestShortMaps:
         with pytest.raises(ValueError, match="missing"):
             ShortMap.from_mapping(two_point, two_point, {"a": "a"})
 
+    def test_table_naming_unknown_points_rejected(self, two_point):
+        with pytest.raises(ValueError, match=r"table names unknown domain points: \['zz'\]"):
+            ShortMap.from_mapping(two_point, two_point, {"a": "a", "b": "b", "zz": "a"})
+
     def test_bang_collapses(self, three_point):
         f = bang(three_point)
         assert set(f.table) == {"*"}
@@ -213,6 +217,13 @@ class TestShortFunctionals:
     def test_violation_rejected(self, two_point):
         with pytest.raises(ValueError, match="not short"):
             ShortFunctional(two_point, (0, 5))
+
+    def test_mapping_naming_unknown_points_rejected(self, two_point):
+        with pytest.raises(ValueError, match=r"values name unknown points: \['typo'\]"):
+            ShortFunctional.from_mapping(two_point, {"a": 1, "typo": 7})
+
+    def test_mapping_leaves_missing_points_at_zero(self, two_point):
+        assert ShortFunctional.from_mapping(two_point, {"b": 1}).values == (0, 1)
 
     def test_closure_fixes_short_inputs(self, three_point):
         f = ShortFunctional(three_point, (0, 1, Fraction(3, 2)))

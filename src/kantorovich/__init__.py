@@ -62,16 +62,6 @@ from .transport import (
     wasserstein_distance,
     wasserstein_oracle,
 )
-from .laws import (
-    CATALOG,
-    DEFAULT_BUDGET,
-    LawCatalogEntry,
-    LawReport,
-    SizeBudget,
-    check_law,
-    run_law,
-    run_suite,
-)
 
 __all__ = [
     "CATALOG",
@@ -135,3 +125,27 @@ __all__ = [
     "wasserstein_space",
     "zero_functional",
 ]
+
+# The law suite is loaded on first use of one of its names, so that
+# ``import kantorovich`` does not pay for it.
+_LAWS = frozenset(
+    {
+        "CATALOG",
+        "DEFAULT_BUDGET",
+        "LawCatalogEntry",
+        "LawReport",
+        "SizeBudget",
+        "check_law",
+        "run_law",
+        "run_suite",
+    }
+)
+
+
+def __getattr__(name):
+    if name not in _LAWS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import laws
+
+    value = globals()[name] = getattr(laws, name)
+    return value

@@ -22,7 +22,6 @@ import os
 import sys
 
 from . import jsonio
-from .laws import CATALOG, DEFAULT_BUDGET, run_suite
 from .measure import pushforward
 from .monad import expectation
 from .structure import (
@@ -222,6 +221,8 @@ def _run(args):
 
 
 def _cmd_laws(args):
+    from .laws import CATALOG, DEFAULT_BUDGET, run_suite
+
     if args.cases > MAX_CASES:
         print(
             f"error: --cases {args.cases} is over the limit of {MAX_CASES} "

@@ -1,18 +1,43 @@
 """Exact Wasserstein-1 distance with primal and dual optimality certificates.
 
 The solver is a network simplex on the bipartite transportation graph
-between the two supports, with Bland's rule for anti-cycling. Costs are read
-from the space's integer distance matrix and masses from the two measures'
-integer weights over one common denominator, so pricing and pivots run on
-Python ints, and the spanning tree of basic cells with its node potentials
-is kept from one pivot to the next. Zero-weight points are not nodes: the
-coupling is zero on their rows and columns, and the witness reaches them
-through its Lipschitz extension. Results become rationals again at the
-boundary, and all three certificates are checked exactly on every call: the
-coupling's marginals and cost in ``Fraction`` arithmetic, the shortness of
-the witness by the construction of its ``ShortFunctional`` (on ints, over
-every pair), and the equality of primal and dual costs on the exact
-integrals.
+between the two supports, m rows by k columns. Costs are read from the
+space's integer distance matrix and masses from the two measures' integer
+weights over one common denominator, so pricing and pivots run on Python
+ints, and the spanning tree of basic cells with its node potentials is kept
+from one pivot to the next.
+
+Pricing is block search (Király & Kovács 2012): a scan prices whole rows,
+about √(m·k) cells a block, starting where the last scan stopped, and
+brings in the most negative reduced cost of the first block that has one.
+
+Cycling is ruled out by perturbation (Orden 1956; Ahuja, Magnanti & Orlin
+1993, ch. 11). With M = 2m + 1, every mass is scaled by M, 1 is added to
+each supply and m to the last demand. Cutting a tree cell splits the tree
+in two, and the cell carries the net supply of the side that lacks the last
+column: M·x + r or M·x - r, where x is the true flow on the same tree and
+0 <= r <= m counts that side's rows. If r = 0 that side is one column, and
+the cell carries all of its demand, so no basic flow is ever 0. Every pivot
+then moves a positive amount and lowers the cost, no basis comes back, the
+leaving cell is unique, and the true flows are (x' + m) // M.
+
+The certificates do not depend on the pivot path. The short functionals
+that attain the distance are exactly those tight on the support of any one
+optimal coupling (complementary slackness), a set closed under pointwise
+max. The witness is its greatest element with value 0 at the first point:
+the shortest-path distances from that point under f(y) <= f(x) + d(x, y)
+for every pair and f(j) <= f(i) - d(i, j) on the solver's coupling, found
+by Dijkstra on ints after reweighting by a feasible dual (Johnson). The
+coupling is a fixed feasible flow on the cells tight for that witness,
+whose only inputs are those cells and the masses. Zero-weight points are
+not nodes: the coupling is zero on their rows and columns, and the witness
+covers them through the shortness constraints.
+
+Results become rationals again at the boundary, and all three certificates
+are checked exactly on every call: the coupling's marginals and cost by
+``TransportPlan`` (on its own ints), the shortness of the witness by the
+construction of its ``ShortFunctional`` (on ints, over every pair), and the
+equality of primal and dual costs on the exact integrals.
 
 The brute-force oracle shares no code with the solver: it enumerates the
 spanning trees of the support graph depth first and scales masses and
@@ -21,10 +46,12 @@ distances by its own common denominators.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import sub
+from itertools import repeat
+from math import isqrt, lcm
+from operator import add, sub
 
 from .measure import Measure, integrate
 from .metric import ShortFunctional, _as_fraction, zero_functional
@@ -37,6 +64,13 @@ class TransportPlan:
     Rows are indexed by source points and columns by target points of the
     common space. Row sums must equal the source weights exactly, column sums
     the target weights, and ``cost`` the coupling-weighted sum of distances.
+
+    The sums run on ints: the nonzero entries scaled by the lcm of their own
+    denominators and of the two measures' ``_denom``, against the measures'
+    ``_units`` and the space's ``_ints``. The check stays independent of the
+    solver: it reads only the plan's public entries and cost, the two
+    measures and the space, never the solver's common denominator or flows,
+    so a coupling that a solver got wrong is rejected however it was built.
     """
 
     source: Measure
@@ -48,33 +82,38 @@ class TransportPlan:
         coupling = tuple(tuple(map(_as_fraction, row)) for row in self.coupling)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "cost", _as_fraction(self.cost))
-        if self.source.space != self.target.space:
+        source, target = self.source, self.target
+        space = source.space
+        if space != target.space:
             raise ValueError("coupling endpoints live on different spaces")
-        n = len(self.source.space)
+        n = len(space)
         if len(coupling) != n or any(len(row) != n for row in coupling):
             raise ValueError(f"coupling must be {n}x{n}")
         # zero cells add nothing to a sum, so every check reads the others only
         cells = [(i, j, x) for i, row in enumerate(coupling) for j, x in enumerate(row) if x]
         if any(x < 0 for _, _, x in cells):
             raise ValueError("coupling entries must be nonnegative")
+        scale = lcm(source._denom, target._denom, *{x.denominator for _, _, x in cells})
+        units = [(i, j, x.numerator * (scale // x.denominator)) for i, j, x in cells]
         rows, cols = [0] * n, [0] * n
-        for i, j, x in cells:
+        for i, j, x in units:
             rows[i] += x
             cols[j] += x
-        for i, total in enumerate(rows):
-            if total != self.source.weights[i]:
-                raise ValueError(
-                    f"row {i} sums to {total}, expected {self.source.weights[i]}"
-                )
-        for j, total in enumerate(cols):
-            if total != self.target.weights[j]:
-                raise ValueError(
-                    f"column {j} sums to {total}, expected {self.target.weights[j]}"
-                )
-        dist = self.source.space.dist
-        total = sum((x * dist[i][j] for i, j, x in cells), start=Fraction(0))
-        if total != self.cost:
-            raise ValueError(f"stated cost {self.cost} differs from actual {total}")
+        for sums, measure, name in ((rows, source, "row"), (cols, target, "column")):
+            share = scale // measure._denom
+            for i, total in enumerate(sums):
+                if total != measure._units[i] * share:
+                    raise ValueError(
+                        f"{name} {i} sums to {Fraction(total, scale)}, "
+                        f"expected {measure.weights[i]}"
+                    )
+        ints = space._ints
+        total = sum(x * ints[i][j] for i, j, x in units)
+        if total * self.cost.denominator != self.cost.numerator * scale * space._scale:
+            raise ValueError(
+                f"stated cost {self.cost} differs from actual "
+                f"{Fraction(total, scale * space._scale)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,19 +129,23 @@ class DualWitness:
 
 
 def _solve_transportation(costs, supplies, demands):
-    """Exact network simplex on integers; returns (basic flows, u) at optimality.
+    """Exact network simplex on integers; returns (flows, u, pivots) at optimality.
 
     ``costs`` is an m x k matrix of ints, and ``supplies`` and ``demands`` are
-    positive ints with equal totals. The spanning tree of basic cells starts
-    as the northwest-corner staircase, rooted at row 0, and is kept across
-    pivots as parent, depth and child arrays over the m + k nodes (rows, then
-    columns). ``flow[x]`` is the flow on the cell joining node x to its parent,
-    and ``u[i] + v[j] == costs[i][j]`` holds on every basic cell with u[0] = 0.
-    Entering cell: the first with a negative reduced cost in row-major order
-    (Bland's rule). Leaving cell: the smallest among the minus cells of the
-    pivot cycle whose flow is minimal.
+    positive ints with equal totals. The masses are perturbed as the module
+    docstring says, so no basis is degenerate. The spanning tree of basic
+    cells starts as the northwest-corner staircase, rooted at row 0, and is
+    kept across pivots as parent, depth and child arrays over the m + k nodes
+    (rows, then columns). ``flow[x]`` is the perturbed flow on the cell
+    joining node x to its parent, and ``u[i] + v[j] == costs[i][j]`` holds on
+    every basic cell with u[0] = 0. Entering cell: the most negative reduced
+    cost in the first block of rows that has one, the blocks scanned
+    cyclically from the row after the last block. Leaving cell: the one
+    minus cell of the pivot cycle whose flow is minimal. ``flows`` maps each
+    basic cell to its true flow, and ``pivots`` counts the pivots.
     """
     m, k = len(supplies), len(demands)
+    big = 2 * m + 1
     parent = [-1] * (m + k)
     depth = [0] * (m + k)
     flow = [0] * (m + k)
@@ -113,8 +156,11 @@ def _solve_transportation(costs, supplies, demands):
     def cell(x):
         return (x, parent[x] - m) if x < m else (parent[x], x - m)
 
-    # northwest corner: each staircase cell brings in one new row or column
-    a, b = list(supplies), list(demands)
+    # northwest corner: each staircase cell brings in one new row or column;
+    # on perturbed masses a row and a column run out together only at the end
+    a = [x * big + 1 for x in supplies]
+    b = [x * big for x in demands]
+    b[-1] += m
     i = j = 0
     node, other = m, 0
     while True:
@@ -129,23 +175,33 @@ def _solve_transportation(costs, supplies, demands):
             v[j] = costs[i][j] - u[i]
         if i == m - 1 and j == k - 1:
             break
-        if a[i] == 0 and i < m - 1:
+        if a[i] == 0:
             i += 1
             node, other = i, m + j
         else:
             j += 1
             node, other = m + j, i
 
+    # about √(m·k) cells a block, whole rows of k cells each
+    block = max(1, isqrt(m * k) // k)
+    start = pivots = 0
     while True:
         # basic cells price to exactly 0, so only nonbasic ones can go negative
-        for i in range(m):
-            ui, row = u[i], costs[i]
-            if min(map(sub, row, v)) < ui:
-                j = next(j for j in range(k) if row[j] - v[j] < ui)
-                break
-        else:
-            return {cell(x): flow[x] for x in range(m + k) if parent[x] >= 0}, u
-        rc = costs[i][j] - u[i] - v[j]
+        best, i, left = 0, start, m
+        while left and not best:
+            for _ in range(min(block, left)):
+                rc = min(map(sub, costs[i], v)) - u[i]
+                if rc < best:
+                    best, row = rc, i
+                i = i + 1 if i < m - 1 else 0
+            left -= min(block, left)
+        if not best:
+            flows = {cell(x): (flow[x] + m) // big for x in range(m + k) if parent[x] >= 0}
+            return flows, u, pivots
+        start, i, rc = i, row, best
+        priced = list(map(sub, costs[i], v))
+        j = priced.index(rc + u[i])
+        pivots += 1
 
         # the cycle is the entering cell plus the tree paths up to the apex;
         # a tree cell is a minus cell when the cycle, oriented along the
@@ -160,14 +216,15 @@ def _solve_transportation(costs, supplies, demands):
             else:
                 col_side.append(y)
                 y = parent[y]
-        minus = [x for x in row_side if x < m] + [y for y in col_side if y >= m]
-        theta = min(flow[x] for x in minus)
-        out = min((x for x in minus if flow[x] == theta), key=cell)
-        if theta:
-            for x in row_side:
-                flow[x] += -theta if x < m else theta
-            for y in col_side:
-                flow[y] += -theta if y >= m else theta
+        out = min(
+            [x for x in row_side if x < m] + [y for y in col_side if y >= m],
+            key=flow.__getitem__,
+        )
+        theta = flow[out]
+        for x in row_side:
+            flow[x] += -theta if x < m else theta
+        for y in col_side:
+            flow[y] += -theta if y >= m else theta
 
         # re-hang the subtree cut off below the leaving cell from the end of
         # the entering cell inside it, reversing the path between the two
@@ -197,60 +254,181 @@ def _solve_transportation(costs, supplies, demands):
             stack.extend(children[x])
 
 
+def _problem(p: Measure, q: Measure):
+    """``(rows, cols, w, costs, supplies, demands)`` of the solve between p and q.
+
+    ``rows`` and ``cols`` are the supports of p and q; ``costs`` the space's
+    integer distances between them; the masses are the weights scaled to
+    ints by ``w``, the lcm of the two measures' denominators.
+    """
+    rows = [i for i, x in enumerate(p._units) if x]
+    cols = [j for j, x in enumerate(q._units) if x]
+    ints = p.space._ints
+    w = lcm(p._denom, q._denom)
+    sp, sq = w // p._denom, w // q._denom
+    costs = [[ints[i][j] for j in cols] for i in rows]
+    return (
+        rows,
+        cols,
+        w,
+        costs,
+        [p._units[i] * sp for i in rows],
+        [q._units[j] * sq for j in cols],
+    )
+
+
+def _greatest_witness(space, rows, cols, flows, u):
+    """The greatest optimal short functional that is 0 at the first point, on ints.
+
+    ``flows`` is an optimal coupling on the supports and ``u`` optimal row
+    potentials, both on the scale of ``space._ints``. The answer is the
+    shortest-path distance from point 0 under the edges x -> y of weight
+    d(x, y) and i -> j of weight -d(i, j) on the coupling's support. The
+    Lipschitz envelope g(x) = max over s of (u(s) - d(x, s)) is short and
+    tight on that support, so every weight d(x, y) + g(x) - g(y) is >= 0,
+    and Dijkstra settles the points in order of distance minus g.
+    """
+    ints = space._ints
+    g = [max(map(sub, u, column)) for column in zip(*(ints[i] for i in rows))]
+    ships_to = {}
+    for (a, b), f in flows.items():
+        if f:
+            ships_to.setdefault(rows[a], []).append(cols[b])
+    dist = list(ints[0])
+    left = list(range(1, len(ints)))
+    x = 0
+    while True:
+        dx, row = dist[x], ints[x]
+        for j in ships_to.get(x, ()):
+            if dx - row[j] < dist[j]:
+                dist[j] = dx - row[j]
+        if not left:
+            return dist
+        x = min(left, key=list(map(sub, dist, g)).__getitem__)
+        left.remove(x)
+        dist = list(map(min, dist, map(add, ints[x], repeat(dist[x]))))
+
+
+def _tight_coupling(tight, supplies, demands):
+    """A feasible flow on the ``tight`` cells, fixed by those cells and the masses.
+
+    ``tight[a]`` lists in index order the columns b whose cell (a, b) may
+    carry flow. The cells are filled greedily in row-major order. Then,
+    while some row has mass left, the first such row sends it along an
+    augmenting path found by breadth-first search, forward along tight cells
+    and back along used ones, scanning rows and columns in index order.
+    Returns the flows by column: ``used[b][a]`` is the flow on cell (a, b).
+    """
+    supply, demand = list(supplies), list(demands)
+    used = [{} for _ in demands]
+    for a, cells in enumerate(tight):
+        for b in cells:
+            t = min(supply[a], demand[b])
+            if t:
+                used[b][a] = t
+                supply[a] -= t
+                demand[b] -= t
+    for start in range(len(supplies)):
+        while supply[start]:
+            via_row, via_col = {start: None}, {}
+            queue, end = deque([start]), None
+            while queue and end is None:
+                a = queue.popleft()
+                for b in tight[a]:
+                    if b in via_col:
+                        continue
+                    via_col[b] = a
+                    if demand[b]:
+                        end = b
+                        break
+                    for r in sorted(used[b]):
+                        if r not in via_row:
+                            via_row[r] = b
+                            queue.append(r)
+            if end is None:
+                raise RuntimeError("the tight cells carry no feasible coupling")
+            t, b = min(supply[start], demand[end]), end
+            while (a := via_col[b]) != start:
+                b = via_row[a]
+                t = min(t, used[b][a])
+            b = end
+            while True:
+                a = via_col[b]
+                used[b][a] = used[b].get(a, 0) + t
+                if a == start:
+                    break
+                b = via_row[a]
+                used[b][a] -= t
+                if not used[b][a]:
+                    del used[b][a]
+            supply[start] -= t
+            demand[end] -= t
+    return used
+
+
+def _certified(p: Measure, q: Measure, problem, flows, u):
+    """``(value, plan, witness)`` from any optimal solve of ``problem``.
+
+    ``flows`` and ``u`` are an optimal coupling and optimal row potentials of
+    the problem that :func:`_problem` builds for p and q. Only the witness
+    computation reads them, and it returns the greatest optimal short
+    functional that is 0 at the first point, which they do not change; the
+    coupling is :func:`_tight_coupling` on the cells tight for that witness.
+    So the result depends on p and q alone. All three certificates are
+    checked here.
+    """
+    rows, cols, w, costs, supplies, demands = problem
+    space = p.space
+    n, d = len(space), space._scale
+    witness = _greatest_witness(space, rows, cols, flows, u)
+    at_cols = [witness[j] for j in cols]
+    tight = [
+        [b for b, (c, y) in enumerate(zip(row, at_cols)) if witness[i] - y == c]
+        for i, row in zip(rows, costs)
+    ]
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    total = 0
+    for b, column in enumerate(_tight_coupling(tight, supplies, demands)):
+        for a, f in column.items():
+            grid[rows[a]][cols[b]] = Fraction(f, w)
+            total += f * costs[a][b]
+    cost = Fraction(total, w * d)
+    plan = TransportPlan(p, q, tuple(map(tuple, grid)), cost)
+    potential = ShortFunctional._from_units(space, witness, d)
+    attained = integrate(potential, p) - integrate(potential, q)
+    if attained != cost:
+        raise RuntimeError(
+            f"dual witness attains {attained}, primal cost is {cost}"
+        )
+    return cost, plan, DualWitness(potential)
+
+
 def wasserstein(p: Measure, q: Measure):
     """Exact Wasserstein-1 distance with primal and dual certificates.
 
     Returns ``(value, plan, witness)`` where the plan is an optimal coupling
     and the witness a short functional with
     integrate(witness, p) - integrate(witness, q) == value, checked exactly.
-    The witness comes from the optimal node potentials on the support of p,
-    extended to the whole space by the Lipschitz lower envelope
-    x -> max over support s of (u(s) - d(x, s)), then normalized so the
-    first point of the space takes value 0.
+    Both are canonical, whatever path the simplex took: the witness is the
+    greatest short functional attaining the value with 0 at the first point
+    of the space, and the plan a fixed feasible flow on the cells (i, j) with
+    witness(i) - witness(j) == d(i, j), filled greedily in row-major order
+    and completed by breadth-first augmenting paths. Equal measures give the
+    diagonal coupling and the zero functional.
     """
     if p.space != q.space:
         raise ValueError("measures live on different spaces")
-    space = p.space
-    n = len(space)
     if p == q:
+        n = len(p.space)
         coupling = tuple(
             tuple(p.weights[i] if i == j else Fraction(0) for j in range(n))
             for i in range(n)
         )
         plan = TransportPlan(p, q, coupling, Fraction(0))
-        return Fraction(0), plan, DualWitness(zero_functional(space))
-
-    rows = [i for i, x in enumerate(p._units) if x]
-    cols = [j for j, x in enumerate(q._units) if x]
-    # the space's integer distances from supp p hold the costs and, by
-    # symmetry, every distance the witness envelope needs
-    scaled = [space._ints[i] for i in rows]
-    d = space._scale
-    w = lcm(p._denom, q._denom)
-    sp, sq = w // p._denom, w // q._denom
-    costs = [[row[j] for j in cols] for row in scaled]
-    flows, u = _solve_transportation(
-        costs, [p._units[i] * sp for i in rows], [q._units[j] * sq for j in cols]
-    )
-
-    grid = [[Fraction(0)] * n for _ in range(n)]
-    total = 0
-    for (a, b), f in flows.items():
-        grid[rows[a]][cols[b]] = Fraction(f, w)
-        total += f * costs[a][b]
-    cost = Fraction(total, w * d)
-    plan = TransportPlan(p, q, tuple(tuple(row) for row in grid), cost)
-
-    values = [max(map(sub, u, column)) for column in zip(*scaled)]
-    base = values[0]
-    potential = ShortFunctional._from_units(space, [x - base for x in values], d)
-    witness = DualWitness(potential)
-    attained = integrate(potential, p) - integrate(potential, q)
-    if attained != cost:
-        raise RuntimeError(
-            f"dual witness attains {attained}, primal cost is {cost}"
-        )
-    return cost, plan, witness
+        return Fraction(0), plan, DualWitness(zero_functional(p.space))
+    problem = _problem(p, q)
+    flows, u, _ = _solve_transportation(*problem[3:])
+    return _certified(p, q, problem, flows, u)
 
 
 def wasserstein_distance(p: Measure, q: Measure) -> Fraction:

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -184,3 +187,17 @@ def test_check_law_rejects_list_weights():
     instance = {"p": {"type": "measure", "value": {"space": space, "weights": ["1/1"]}}}
     with pytest.raises(ValueError, match="'weights'"):
         check_law("monad_left_unit", instance)
+
+
+def test_law_suite_loads_on_first_use():
+    script = (
+        "import sys, kantorovich\n"
+        "assert 'kantorovich.laws' not in sys.modules\n"
+        "assert len(kantorovich.CATALOG) == len(kantorovich.laws.CATALOG)\n"
+        "namespace = {}\n"
+        "exec('from kantorovich import *', namespace)\n"
+        "assert set(kantorovich.__all__) <= set(namespace)\n"
+        "assert namespace['run_suite'] is kantorovich.laws.run_suite\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)

@@ -218,10 +218,12 @@ def _sha256(payload):
     return hashlib.sha256(jsonio.dumps(payload).encode()).hexdigest()
 
 
-# sha256 digests recorded with the Fraction-pivoting solver that kept every
-# point as a node; the full-support digest pins the pivot path itself
-# (coupling and witness), the sparse one only the values
-FULL_SUPPORT_DIGEST = "04ae3c2389177ba8aefa21726f8d0bfe850792fd8f2bd4308b2368c597c1b6af"
+# sha256 digests. The full-support one pins values, couplings and witnesses;
+# these are canonical (the greatest optimal witness that is 0 at the first
+# point, and a fixed flow on its tight cells), so it holds for any pivot rule.
+# The sparse one, recorded with the Fraction-pivoting solver that kept every
+# point as a node, pins the values only.
+FULL_SUPPORT_DIGEST = "d877654e5159c47bc164586a2a2cd1df0274c1ad7552eb05f1eaad7a2a7d00f3"
 SPARSE_VALUES_DIGEST = "5a2ee70c650de8d2d45894e7ba0ebcde653521650d3ccc80e0cd1eb619f8194f"
 
 

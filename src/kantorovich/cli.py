@@ -116,16 +116,9 @@ def _bool(verdict):
     return "true" if verdict else "false"
 
 
-def _measure_lines(measure):
-    return [
-        f"{jsonio.label_key(p)}: {jsonio.format_fraction(w)}"
-        for p, w in zip(measure.space.points, measure.weights)
-        if w
-    ]
-
-
 def _measure(measure):
-    return jsonio.measure_to_json(measure), _measure_lines(measure)
+    payload = jsonio.measure_to_json(measure)
+    return payload, [f"{key}: {w}" for key, w in payload["weights"].items()]
 
 
 def _validate(args, ws):
@@ -142,8 +135,7 @@ def _distance(args, ws, p, q):
         payload["witness"] = jsonio.functional_to_json(witness.potential)
         lines += ["coupling:"] + ["  " + " ".join(row) for row in payload["coupling"]]
         lines += ["witness:"] + [
-            f"  {jsonio.label_key(pt)}: {fmt(v)}"
-            for pt, v in zip(p.space.points, witness.potential.values)
+            f"  {key}: {v}" for key, v in payload["witness"]["values"].items()
         ]
     return payload, lines
 
@@ -221,7 +213,7 @@ def _run(args):
 
 
 def _cmd_laws(args):
-    from .laws import CATALOG, DEFAULT_BUDGET, run_suite
+    from .laws import run_suite
 
     if args.cases > MAX_CASES:
         print(
@@ -230,13 +222,8 @@ def _cmd_laws(args):
             file=sys.stderr,
         )
         return 2
-    law_ids = None
-    if args.law is not None:
-        if args.law not in CATALOG:
-            print(f"error: unknown law {args.law!r}", file=sys.stderr)
-            return 2
-        law_ids = [args.law]
-    report = run_suite(args.seed, args.cases, DEFAULT_BUDGET, law_ids)
+    law_ids = None if args.law is None else [args.law]
+    report = run_suite(args.seed, args.cases, law_ids=law_ids)
     if args.json:
         print(jsonio.dumps(report.to_json(), pretty=True))
     else:

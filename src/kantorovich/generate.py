@@ -49,15 +49,20 @@ def random_space(
     return FinMetricSpace._from_ints(points, raw, 12)
 
 
+def _numerators(rng: random.Random, k: int, top: int):
+    """``k`` numerators from 0 to ``top``, redrawn until their sum is positive."""
+    while True:
+        raw = [rng.randint(0, top) for _ in range(k)]
+        total = sum(raw)
+        if total:
+            return raw, total
+
+
 def random_measure(
     rng: random.Random, space: FinMetricSpace, max_numerator: int = 64
 ) -> Measure:
     """Random weights from bounded nonnegative numerators, normalized exactly."""
-    while True:
-        raw = [rng.randint(0, max_numerator) for _ in space.points]
-        total = sum(raw)
-        if total:
-            return Measure._from_units(space, raw, total)
+    return Measure._from_units(space, *_numerators(rng, len(space), max_numerator))
 
 
 def random_measure_with_support(
@@ -108,12 +113,8 @@ def random_nested(
 ) -> NestedMeasure:
     k = rng.randint(1, max_inner)
     inner = tuple(random_measure(rng, space, max_numerator) for _ in range(k))
-    while True:
-        raw = [rng.randint(0, max_numerator) for _ in range(k)]
-        total = sum(raw)
-        if total:
-            weights = tuple(Fraction(x, total) for x in raw)
-            return NestedMeasure(space, inner, weights)
+    raw, total = _numerators(rng, k, max_numerator)
+    return NestedMeasure(space, inner, tuple(Fraction(x, total) for x in raw))
 
 
 def random_double_nested(
@@ -121,18 +122,27 @@ def random_double_nested(
     space: FinMetricSpace,
     max_outer: int = 3,
     max_inner: int = 3,
+    max_numerator: int = 64,
 ):
     """Weights over nested measures: a three-layer sample.
 
     Returns ``(weights, nesteds)`` with exact weights summing to 1.
     """
     k = rng.randint(1, max_outer)
-    nesteds = tuple(random_nested(rng, space, max_inner) for _ in range(k))
-    while True:
-        raw = [rng.randint(0, 64) for _ in range(k)]
-        total = sum(raw)
-        if total:
-            return tuple(Fraction(x, total) for x in raw), nesteds
+    nesteds = tuple(random_nested(rng, space, max_inner, max_numerator) for _ in range(k))
+    raw, total = _numerators(rng, k, max_numerator)
+    return tuple(Fraction(x, total) for x in raw), nesteds
+
+
+def _monoid(prefix: str, dist, op, unit: int) -> InternalMonoid:
+    """The monoid on points ``prefix0, prefix1, ...`` with distance matrix
+    ``dist``, product ``op`` on point indices and the unit at index ``unit``."""
+    n = len(dist)
+    points = tuple(f"{prefix}{i}" for i in range(n))
+    carrier = FinMetricSpace(points, dist)
+    table = tuple(points[op(i, j)] for i in range(n) for j in range(n))
+    mult = ShortMap(tensor(carrier, carrier), carrier, table)
+    return InternalMonoid(carrier, mult, points[unit])
 
 
 def cyclic_monoid(order: int, scale: Fraction = Fraction(1)) -> InternalMonoid:
@@ -141,17 +151,11 @@ def cyclic_monoid(order: int, scale: Fraction = Fraction(1)) -> InternalMonoid:
     Addition is short because translating both coordinates moves the output
     by at most one metric step each.
     """
-    points = tuple(f"g{i}" for i in range(order))
     dist = tuple(
         tuple(Fraction(0) if i == j else scale for j in range(order))
         for i in range(order)
     )
-    carrier = FinMetricSpace(points, dist)
-    dom = tensor(carrier, carrier)
-    table = tuple(
-        points[(int(a[1:]) + int(b[1:])) % order] for a, b in dom.points
-    )
-    return InternalMonoid(carrier, ShortMap(dom, carrier, table), points[0])
+    return _monoid("g", dist, lambda i, j: (i + j) % order, 0)
 
 
 def min_monoid(size: int, scale: Fraction = Fraction(1)) -> InternalMonoid:
@@ -160,16 +164,10 @@ def min_monoid(size: int, scale: Fraction = Fraction(1)) -> InternalMonoid:
     The metric is the scaled line metric; min is jointly 1-Lipschitz, and the
     top element is the unit.
     """
-    points = tuple(f"c{i}" for i in range(size))
     dist = tuple(
         tuple(scale * abs(i - j) for j in range(size)) for i in range(size)
     )
-    carrier = FinMetricSpace(points, dist)
-    dom = tensor(carrier, carrier)
-    table = tuple(
-        points[min(int(a[1:]), int(b[1:]))] for a, b in dom.points
-    )
-    return InternalMonoid(carrier, ShortMap(dom, carrier, table), points[-1])
+    return _monoid("c", dist, min, -1)
 
 
 def random_monoid(rng: random.Random) -> InternalMonoid:

@@ -2,16 +2,19 @@
 
 Every structural equation and inequality of the package is a catalog entry,
 registered with :func:`law` on its exact checker together with its instance
-generator. A suite run is fully deterministic: each law draws its instances
-from a private generator seeded by a stable hash of the suite seed and the
-law id, so adding a law never perturbs the instances of another. Failures
-never abort a run; they are recorded in the report together with the first
-counterexample.
+generator. The generator returns a dict of named fields and the checker
+takes those fields as its parameters, so a replayed instance must carry
+exactly its checker's fields. A suite run is fully deterministic: each law
+draws its instances from a private generator seeded by a stable hash of the
+suite seed and the law id, so adding a law never perturbs the instances of
+another. Failures never abort a run; they are recorded in the report
+together with the first counterexample.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -19,6 +22,7 @@ from typing import Callable, Optional
 
 from . import jsonio
 from .generate import (
+    _numerators,
     random_double_nested,
     random_functional,
     random_measure,
@@ -102,7 +106,7 @@ class LawCatalogEntry:
     id: str
     statement: str
     generate: Callable[[random.Random, SizeBudget], dict]
-    check: Callable[[dict], CheckOutcome]
+    check: Callable[..., CheckOutcome]
     expected_counterexample: bool = False
 
 
@@ -176,8 +180,7 @@ def _gen_measure_pair_on_factors(rng, budget):
     "marginals(product(p, q)) == (p, q)",
     _gen_measure_pair_on_factors,
 )
-def _check_marginals_of_product(inst):
-    p, q = inst["p"], inst["q"]
+def _check_marginals_of_product(p, q):
     got = marginals(product(p, q))
     return CheckOutcome(got == (p, q), got, (p, q))
 
@@ -197,8 +200,7 @@ def _gen_correlated_witness(rng, budget):
     _gen_correlated_witness,
     expected_counterexample=True,
 )
-def _check_correlated_witness(inst):
-    r = inst["r"]
+def _check_correlated_witness(r):
     back = product(*marginals(r))
     quarter = all(w == Fraction(1, 4) for w in back.weights)
     found = quarter and back != r and not is_independent(r)
@@ -211,8 +213,7 @@ def _gen_isometry(rng, budget):
 
 
 @law("product_isometry", "W1(p x q, p' x q') == W1(p, p') + W1(q, q')", _gen_isometry)
-def _check_isometry(inst):
-    p, p2, q, q2 = inst["p"], inst["p2"], inst["q"], inst["q2"]
+def _check_isometry(p, p2, q, q2):
     lhs = wasserstein_distance(product(p, q), product(p2, q2))
     rhs = wasserstein_distance(p, p2) + wasserstein_distance(q, q2)
     return CheckOutcome(lhs == rhs, lhs, rhs)
@@ -225,8 +226,7 @@ def _gen_joint_pair(rng, budget):
 
 
 @law("marginals_short", "W1(r_X, r'_X) + W1(r_Y, r'_Y) <= W1(r, r')", _gen_joint_pair)
-def _check_marginals_short(inst):
-    r, r2 = inst["r"], inst["r2"]
+def _check_marginals_short(r, r2):
     rx, ry = marginals(r)
     sx, sy = marginals(r2)
     lhs = wasserstein_distance(rx, sx) + wasserstein_distance(ry, sy)
@@ -240,15 +240,13 @@ def _gen_measure(rng, budget):
 
 
 @law("monad_left_unit", "expectation of the point mass at p is p", _gen_measure)
-def _check_left_unit(inst):
-    p = inst["p"]
+def _check_left_unit(p):
     got = expectation(unit_nested(p))
     return CheckOutcome(got == p, got, p)
 
 
 @law("monad_right_unit", "expectation of the Dirac-image of p is p", _gen_measure)
-def _check_right_unit(inst):
-    p = inst["p"]
+def _check_right_unit(p):
     got = expectation(diracs_nested(p))
     return CheckOutcome(got == p, got, p)
 
@@ -258,8 +256,7 @@ def _check_right_unit(inst):
     "pushing any measure to the one-point space gives its unique measure",
     _gen_measure,
 )
-def _check_affine(inst):
-    p = inst["p"]
+def _check_affine(p):
     collapsed = pushforward(bang(p.space), p)
     one = dirac(terminal(), "*")
     return CheckOutcome(collapsed == one, collapsed, one)
@@ -270,8 +267,7 @@ def _check_affine(inst):
     "product with the one-point measure is the measure itself",
     _gen_measure,
 )
-def _check_product_unital(inst):
-    p = inst["p"]
+def _check_product_unital(p):
     one = dirac(terminal(), "*")
     via_right = pushforward(unitor_right(p.space), product(p, one))
     via_left = pushforward(unitor_left(p.space), product(one, p))
@@ -282,7 +278,7 @@ def _check_product_unital(inst):
 def _gen_double_nested(rng, budget):
     x = random_space(rng, max_points=budget.max_factor_points + 1)
     weights, nesteds = random_double_nested(
-        rng, x, max_outer=budget.max_inner, max_inner=budget.max_inner
+        rng, x, budget.max_inner, budget.max_inner, budget.max_numerator
     )
     return {"weights": list(weights), "layers": list(nesteds)}
 
@@ -292,18 +288,17 @@ def _gen_double_nested(rng, budget):
     "averaging inner layers first or flattening first agree",
     _gen_double_nested,
 )
-def _check_monad_associativity(inst):
-    weights = tuple(inst["weights"])
-    nesteds = tuple(inst["layers"])
-    base = nesteds[0].base
+def _check_monad_associativity(weights, layers):
+    weights = tuple(weights)
+    base = layers[0].base
     via_inner = expectation(
-        NestedMeasure(base, tuple(expectation(nu) for nu in nesteds), weights)
+        NestedMeasure(base, tuple(expectation(nu) for nu in layers), weights)
     )
     via_flatten = expectation(
         NestedMeasure(
             base,
-            tuple(m for nu in nesteds for m in nu.inner),
-            tuple(w * v for nu, w in zip(nesteds, weights) for v in nu.weights),
+            tuple(m for nu in layers for m in nu.inner),
+            tuple(w * v for nu, w in zip(layers, weights) for v in nu.weights),
         )
     )
     return CheckOutcome(via_inner == via_flatten, via_inner, via_flatten)
@@ -322,8 +317,7 @@ def _gen_nested_map(rng, budget):
     "expectation(pushforward_nested(f, mu)) == pushforward(f, expectation(mu))",
     _gen_nested_map,
 )
-def _check_expectation_naturality(inst):
-    f, mu = inst["f"], inst["mu"]
+def _check_expectation_naturality(f, mu):
     lhs = expectation(pushforward_nested(f, mu))
     rhs = pushforward(f, expectation(mu))
     return CheckOutcome(lhs == rhs, lhs, rhs)
@@ -342,8 +336,7 @@ def _gen_nested_pair_on_factors(rng, budget):
     "averaging the product of nestings equals the product of the averages",
     _gen_nested_pair_on_factors,
 )
-def _check_expectation_product(inst):
-    mu, nu = inst["mu"], inst["nu"]
+def _check_expectation_product(mu, nu):
     joint_space = tensor(mu.base, nu.base)
     doubled = NestedMeasure(
         joint_space,
@@ -366,8 +359,7 @@ def _gen_nested_joint(rng, budget):
     "marginals of the average equal the averages of the marginals",
     _gen_nested_joint,
 )
-def _check_expectation_marginals(inst):
-    mu = inst["mu"]
+def _check_expectation_marginals(mu):
     x, y = mu.base.factors
     lhs = marginals(expectation(mu))
     split = [marginals(m) for m in mu.inner]
@@ -391,8 +383,7 @@ def _gen_nested_same_base(rng, budget):
     "W1(E(mu), E(nu)) <= W1 between mu and nu one level up",
     _gen_nested_same_base,
 )
-def _check_expectation_short(inst):
-    mu, nu = inst["mu"], inst["nu"]
+def _check_expectation_short(mu, nu):
     lhs = wasserstein_distance(expectation(mu), expectation(nu))
     rhs = nested_distance(mu, nu)
     return CheckOutcome(lhs <= rhs, lhs, rhs)
@@ -408,8 +399,7 @@ def _gen_measure_pair(rng, budget):
     "primal optimal cost equals the dual witness value exactly",
     _gen_measure_pair,
 )
-def _check_duality(inst):
-    p, q = inst["p"], inst["q"]
+def _check_duality(p, q):
     cost, plan, witness = wasserstein(p, q)
     attained = integrate(witness.potential, p) - integrate(witness.potential, q)
     ok = attained == cost == plan.cost
@@ -426,8 +416,7 @@ def _gen_measure_triple(rng, budget):
     "W1 is symmetric, triangular, and zero exactly on equal measures",
     _gen_measure_triple,
 )
-def _check_metric_axioms(inst):
-    p, q, r = inst["p"], inst["q"], inst["r"]
+def _check_metric_axioms(p, q, r):
     pq = wasserstein_distance(p, q)
     qp = wasserstein_distance(q, p)
     pr = wasserstein_distance(p, r)
@@ -450,8 +439,7 @@ def _gen_oracle(rng, budget):
     "network simplex equals brute-force vertex enumeration",
     _gen_oracle,
 )
-def _check_oracle(inst):
-    p, q = inst["p"], inst["q"]
+def _check_oracle(p, q):
     fast = wasserstein_distance(p, q)
     slow = wasserstein_oracle(p, q)
     return CheckOutcome(fast == slow, fast, slow)
@@ -462,8 +450,7 @@ def _gen_map_pair_measures(rng, budget):
     return {
         "f": random_short_map(rng, x, z),
         "g": random_short_map(rng, y, w),
-        "p": random_measure(rng, x, budget.max_numerator),
-        "q": random_measure(rng, y, budget.max_numerator),
+        **_measures(rng, budget, p=x, q=y),
     }
 
 
@@ -472,8 +459,7 @@ def _gen_map_pair_measures(rng, budget):
     "pushforward(f x g, product(p, q)) == product(pushforward(f, p), pushforward(g, q))",
     _gen_map_pair_measures,
 )
-def _check_product_naturality(inst):
-    f, g, p, q = inst["f"], inst["g"], inst["p"], inst["q"]
+def _check_product_naturality(f, g, p, q):
     lhs = pushforward(tensor_map(f, g), product(p, q))
     rhs = product(pushforward(f, p), pushforward(g, q))
     return CheckOutcome(lhs == rhs, lhs, rhs)
@@ -493,8 +479,7 @@ def _gen_map_pair_joint(rng, budget):
     "marginals(pushforward(f x g, r)) == (pushforward(f, r_X), pushforward(g, r_Y))",
     _gen_map_pair_joint,
 )
-def _check_marginals_naturality(inst):
-    f, g, r = inst["f"], inst["g"], inst["r"]
+def _check_marginals_naturality(f, g, r):
     rx, ry = marginals(r)
     lhs = marginals(pushforward(tensor_map(f, g), r))
     rhs = (pushforward(f, rx), pushforward(g, ry))
@@ -505,8 +490,7 @@ def _gen_map_measures_same(rng, budget):
     x, y = _spaces(rng, budget.max_points, "ab")
     return {
         "f": random_short_map(rng, x, y),
-        "p": random_measure(rng, x, budget.max_numerator),
-        "q": random_measure(rng, x, budget.max_numerator),
+        **_measures(rng, budget, p=x, q=x),
     }
 
 
@@ -515,8 +499,7 @@ def _gen_map_measures_same(rng, budget):
     "W1(f_* p, f_* q) <= W1(p, q) for short f",
     _gen_map_measures_same,
 )
-def _check_pushforward_contraction(inst):
-    f, p, q = inst["f"], inst["p"], inst["q"]
+def _check_pushforward_contraction(f, p, q):
     lhs = wasserstein_distance(pushforward(f, p), pushforward(f, q))
     rhs = wasserstein_distance(p, q)
     return CheckOutcome(lhs <= rhs, lhs, rhs)
@@ -533,18 +516,16 @@ def _gen_point_pair(rng, budget):
 
 
 @law("dirac_product", "product(dirac(x), dirac(y)) == dirac((x, y))", _gen_point_pair)
-def _check_dirac_product(inst):
-    x, y = inst["xspace"], inst["yspace"]
-    lhs = product(dirac(x, inst["x"]), dirac(y, inst["y"]))
-    rhs = dirac(tensor(x, y), (inst["x"], inst["y"]))
+def _check_dirac_product(xspace, yspace, x, y):
+    lhs = product(dirac(xspace, x), dirac(yspace, y))
+    rhs = dirac(tensor(xspace, yspace), (x, y))
     return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 @law("dirac_marginals", "marginals(dirac((x, y))) == (dirac(x), dirac(y))", _gen_point_pair)
-def _check_dirac_marginals(inst):
-    x, y = inst["xspace"], inst["yspace"]
-    lhs = marginals(dirac(tensor(x, y), (inst["x"], inst["y"])))
-    rhs = (dirac(x, inst["x"]), dirac(y, inst["y"]))
+def _check_dirac_marginals(xspace, yspace, x, y):
+    lhs = marginals(dirac(tensor(xspace, yspace), (x, y)))
+    rhs = (dirac(xspace, x), dirac(yspace, y))
     return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
@@ -562,12 +543,11 @@ def _gen_point_and_measure(rng, budget):
     "dirac(x) x q has marginals (dirac(x), q) and braids to q x dirac(x)",
     _gen_point_and_measure,
 )
-def _check_strength(inst):
-    x, pt, q = inst["xspace"], inst["x"], inst["q"]
-    st = strength(pt, q, x)
+def _check_strength(xspace, x, q):
+    st = strength(x, q, xspace)
     split = marginals(st)
-    swapped = pushforward(braiding(x, q.space), st)
-    ok = split == (dirac(x, pt), q) and swapped == product(q, dirac(x, pt))
+    swapped = pushforward(braiding(xspace, q.space), st)
+    ok = split == (dirac(xspace, x), q) and swapped == product(q, dirac(xspace, x))
     return CheckOutcome(ok, split, swapped)
 
 
@@ -581,8 +561,7 @@ def _gen_product_triple(rng, budget):
     "left-nested and right-nested products agree under re-association",
     _gen_product_triple,
 )
-def _check_product_associative(inst):
-    p, q, r = inst["p"], inst["q"], inst["r"]
+def _check_product_associative(p, q, r):
     left = product(product(p, q), r)
     reassoc = pushforward(associator(p.space, q.space, r.space), left)
     right = product(p, product(q, r))
@@ -594,8 +573,8 @@ def _check_product_associative(inst):
     "an n-fold product is independent as a family, with the factors as marginals",
     _gen_product_triple,
 )
-def _check_family_independence(inst):
-    ms = [inst["p"], inst["q"], inst["r"]]
+def _check_family_independence(p, q, r):
+    ms = [p, q, r]
     joint = product_n(ms)
     ok = is_independent_family(joint, 3) and marginals_n(joint, 3) == ms
     return CheckOutcome(ok, joint, ms)
@@ -611,8 +590,7 @@ def _gen_triple_joint(rng, budget):
     "the three marginals agree whichever pairing is split first",
     _gen_triple_joint,
 )
-def _check_marginals_coassociative(inst):
-    r = inst["r"]
+def _check_marginals_coassociative(r):
     xy, z = r.space.factors
     x, y = xy.factors
     rxy, rz = marginals(r)
@@ -635,8 +613,7 @@ def _gen_unit_joint(rng, budget):
     "marginals against the one-point factor return the measure itself",
     _gen_unit_joint,
 )
-def _check_marginals_counital(inst):
-    right, left = inst["right"], inst["left"]
+def _check_marginals_counital(right, left):
     x = right.space.factors[0]
     rx, r1 = marginals(right)
     ok_right = rx == pushforward(unitor_right(x), right) and r1.weights == (1,)
@@ -647,6 +624,7 @@ def _check_marginals_counital(inst):
 
 
 def _gen_braiding(rng, budget):
+    # both braiding laws check this instance; each reads only its own fields
     x, y = _space_pair(rng, budget)
     return _measures(rng, budget, p=x, q=y, r=tensor(x, y))
 
@@ -656,16 +634,14 @@ def _gen_braiding(rng, budget):
     "pushing product(p, q) along the braiding gives product(q, p)",
     _gen_braiding,
 )
-def _check_product_braiding(inst):
-    p, q = inst["p"], inst["q"]
+def _check_product_braiding(p, q, r):
     lhs = pushforward(braiding(p.space, q.space), product(p, q))
     rhs = product(q, p)
     return CheckOutcome(lhs == rhs, lhs, rhs)
 
 
 @law("marginals_braiding", "marginals commute with the braiding swap", _gen_braiding)
-def _check_marginals_braiding(inst):
-    r = inst["r"]
+def _check_marginals_braiding(p, q, r):
     x, y = r.space.factors
     rx, ry = marginals(r)
     lhs = marginals(pushforward(braiding(x, y), r))
@@ -689,8 +665,7 @@ def _interchanged_marginals(p, q):
     "middle-interchanged product of joints has the paired products as marginals",
     _gen_quad_joints,
 )
-def _check_bimonoidality(inst):
-    p, q = inst["p"], inst["q"]
+def _check_bimonoidality(p, q):
     lhs = _interchanged_marginals(p, q)
     pw, px = marginals(p)
     qy, qz = marginals(q)
@@ -703,8 +678,8 @@ def _check_bimonoidality(inst):
     "marginals of a product of joints are independent pairs",
     _gen_quad_joints,
 )
-def _check_decomposition(inst):
-    wy, xz = _interchanged_marginals(inst["p"], inst["q"])
+def _check_decomposition(p, q):
+    wy, xz = _interchanged_marginals(p, q)
     return CheckOutcome(is_independent(wy) and is_independent(xz), wy, xz)
 
 
@@ -712,11 +687,7 @@ def _gen_dirac_marginal_joint(rng, budget):
     x, y = _space_pair(rng, budget)
     xy = tensor(x, y)
     pt = rng.choice(x.points)
-    while True:
-        raw = [rng.randint(0, budget.max_numerator) for _ in y.points]
-        total = sum(raw)
-        if total:
-            break
+    raw, total = _numerators(rng, len(y), budget.max_numerator)
     weights = {
         (pt, ypt): Fraction(n, total) for ypt, n in zip(y.points, raw) if n
     }
@@ -728,8 +699,7 @@ def _gen_dirac_marginal_joint(rng, budget):
     "a joint with a deterministic marginal is independent",
     _gen_dirac_marginal_joint,
 )
-def _check_dirac_marginal_independence(inst):
-    r = inst["r"]
+def _check_dirac_marginal_independence(r):
     return CheckOutcome(is_independent(r), r, product(*marginals(r)))
 
 
@@ -747,8 +717,7 @@ def _gen_projection_independence(rng, budget):
     "projections of a product law are independent observables",
     _gen_projection_independence,
 )
-def _check_projection_independence(inst):
-    joint, arbitrary = inst["joint"], inst["arbitrary"]
+def _check_projection_independence(joint, arbitrary):
     x, y = joint.space.factors
     ok_product = independent_maps(Law(joint.space, joint), proj1(x, y), proj2(x, y))
     other = Law(arbitrary.space, arbitrary)
@@ -766,15 +735,14 @@ def _gen_convolution(rng, budget):
     "convolve is associative with unit dirac(monoid unit)",
     _gen_convolution,
 )
-def _check_convolution_monoid(inst):
-    m, p, q, r = inst["monoid"], inst["p"], inst["q"], inst["r"]
-    assoc_l = convolve(convolve(p, q, m), r, m)
-    assoc_r = convolve(p, convolve(q, r, m), m)
-    e = dirac(m.carrier, m.unit)
+def _check_convolution_monoid(monoid, p, q, r):
+    assoc_l = convolve(convolve(p, q, monoid), r, monoid)
+    assoc_r = convolve(p, convolve(q, r, monoid), monoid)
+    e = dirac(monoid.carrier, monoid.unit)
     ok = (
         assoc_l == assoc_r
-        and convolve(e, p, m) == p
-        and convolve(p, e, m) == p
+        and convolve(e, p, monoid) == p
+        and convolve(p, e, monoid) == p
     )
     return CheckOutcome(ok, assoc_l, assoc_r)
 
@@ -794,15 +762,14 @@ def _gen_partial_integral(rng, budget):
     "integrating out one tensor coordinate leaves a short functional",
     _gen_partial_integral,
 )
-def _check_partial_integral(inst):
-    f, p, pt = inst["f"], inst["p"], inst["x"]
+def _check_partial_integral(f, p, x):
     try:
         partial_integral(f, p)
     except ValueError as exc:
         return CheckOutcome(False, str(exc), None)
-    x, y = f.domain.factors
-    slice_at = partial_integral(f, dirac(x, pt))
-    expected = tuple(f((pt, ypt)) for ypt in y.points)
+    xspace, yspace = f.domain.factors
+    slice_at = partial_integral(f, dirac(xspace, x))
+    expected = tuple(f((x, y)) for y in yspace.points)
     return CheckOutcome(slice_at.values == expected, slice_at.values, expected)
 
 
@@ -811,8 +778,7 @@ def _gen_sum_functional(rng, budget):
     return {
         "f": random_functional(rng, x),
         "g": random_functional(rng, y),
-        "p": random_measure(rng, x, budget.max_numerator),
-        "q": random_measure(rng, y, budget.max_numerator),
+        **_measures(rng, budget, p=x, q=y),
     }
 
 
@@ -821,8 +787,7 @@ def _gen_sum_functional(rng, budget):
     "f(x) + g(y) is short on the tensor and integrates factorwise",
     _gen_sum_functional,
 )
-def _check_sum_functional(inst):
-    f, g, p, q = inst["f"], inst["g"], inst["p"], inst["q"]
+def _check_sum_functional(f, g, p, q):
     try:
         combined = sum_functional(f, g)
     except ValueError as exc:
@@ -860,18 +825,23 @@ def _law_rng(seed: int, law_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def run_law(law_id: str, seed: int, cases: int, budget: SizeBudget = DEFAULT_BUDGET):
-    """Run one catalog law for the given number of cases; returns its entry."""
+def _entry(law_id: str) -> LawCatalogEntry:
     entry = CATALOG.get(law_id)
     if entry is None:
         raise ValueError(f"unknown law {law_id!r}")
+    return entry
+
+
+def run_law(law_id: str, seed: int, cases: int, budget: SizeBudget = DEFAULT_BUDGET):
+    """Run one catalog law for the given number of cases; returns its entry."""
+    entry = _entry(law_id)
     rng = _law_rng(seed, law_id)
     runs = 1 if entry.expected_counterexample else cases
     failures = 0
     first = None
     for _ in range(runs):
         instance = entry.generate(rng, budget)
-        outcome = entry.check(instance)
+        outcome = entry.check(**instance)
         if not outcome.ok:
             failures += 1
             if first is None:
@@ -900,16 +870,13 @@ def run_suite(
     law_ids: Optional[list] = None,
 ) -> LawReport:
     """Evaluate the catalog on fresh seeded instances; never aborts early."""
+    law_ids = sorted(CATALOG if law_ids is None else law_ids)
+    for law_id in law_ids:
+        _entry(law_id)
     if cases < 1:
         raise ValueError("cases must be at least 1")
-    if law_ids is None:
-        law_ids = sorted(CATALOG)
-    else:
-        for law_id in law_ids:
-            if law_id not in CATALOG:
-                raise ValueError(f"unknown law {law_id!r}")
     report = LawReport(seed=seed, cases=cases, budget=budget)
-    for law_id in sorted(law_ids):
+    for law_id in law_ids:
         report.entries[law_id] = run_law(law_id, seed, cases, budget)
     return report
 
@@ -918,15 +885,17 @@ def check_law(law_id: str, instance) -> CheckOutcome:
     """Replay a single serialized instance against one law.
 
     ``instance`` is either a dict of live objects or their typed JSON form,
-    as found under ``first_counterexample.instance`` in a report. Both sides
-    of the returned outcome are in the report's JSON form.
+    as found under ``first_counterexample.instance`` in a report, and must
+    carry exactly the fields its checker takes. Both sides of the returned
+    outcome are in the report's JSON form.
     """
-    entry = CATALOG.get(law_id)
-    if entry is None:
-        raise ValueError(f"unknown law {law_id!r}")
+    entry = _entry(law_id)
+    fields = list(inspect.signature(entry.check).parameters)
+    if sorted(instance) != sorted(fields):
+        raise ValueError(f"law {law_id!r} takes fields {fields}, got {sorted(instance)}")
     if instance and all(
         isinstance(v, dict) and "type" in v for v in instance.values()
     ):
         instance = jsonio.instance_from_json(instance)
-    outcome = entry.check(instance)
+    outcome = entry.check(**instance)
     return CheckOutcome(outcome.ok, _side_json(outcome.lhs), _side_json(outcome.rhs))

@@ -4,12 +4,12 @@ All distances and functional values are exact ``fractions.Fraction`` values
 and every invariant (metric axioms, shortness) is checked exhaustively at
 construction time. Each space also keeps its distance matrix scaled to
 integers over one common denominator, and each short functional its values,
-and the checks run on those ints: the triangle inequality is still tested on
-every triple, and the Lipschitz bound on every pair, one C-level pass per
-point or pair. Spaces built from ints (tensors, generated spaces) hand them
-to construction directly, and their public ``Fraction`` entries are made
-once per distinct value. Values are immutable after construction; every
-operation is a pure function.
+and the checks run on those ints: the triangle inequality is tested on every
+triple, and the Lipschitz bound on every pair, one C-level pass per point or
+pair. Spaces built from ints (tensors, generated spaces) hand them to
+construction directly, and their public ``Fraction`` entries are made once
+per distinct value. Values are immutable after construction; every operation
+is a pure function.
 """
 
 from __future__ import annotations
@@ -325,14 +325,12 @@ def braiding(x: FinMetricSpace, y: FinMetricSpace) -> ShortMap:
 
 def unitor_left(x: FinMetricSpace) -> ShortMap:
     """The isometry tensor(terminal(), x) -> x dropping the unit coordinate."""
-    dom = tensor(terminal(), x)
-    return ShortMap(dom, x, tuple(b for _, b in dom.points))
+    return proj2(terminal(), x)
 
 
 def unitor_right(x: FinMetricSpace) -> ShortMap:
     """The isometry tensor(x, terminal()) -> x dropping the unit coordinate."""
-    dom = tensor(x, terminal())
-    return ShortMap(dom, x, tuple(a for a, _ in dom.points))
+    return proj1(x, terminal())
 
 
 def associator(

@@ -68,18 +68,13 @@ def product(p: Measure, q: Measure) -> Measure:
     )
 
 
-def _factors(r: Measure):
-    factors = r.space.factors
-    if factors is None:
+def marginals(r: Measure):
+    """The pair of marginal measures of a joint on a tensor space."""
+    if r.space.factors is None:
         raise ValueError(
             "marginals need a space built by tensor(); this one carries no factorization"
         )
-    return factors
-
-
-def marginals(r: Measure):
-    """The pair of marginal measures of a joint on a tensor space."""
-    x, y = _factors(r)
+    x, y = r.space.factors
     ny, units = len(y), r._units
     wx = [sum(units[k : k + ny]) for k in range(0, len(units), ny)]
     wy = [sum(units[k::ny]) for k in range(ny)]

@@ -346,8 +346,12 @@ class TestLawsCommand:
         assert "all passed" in out
 
     def test_unknown_law(self, capsys):
-        assert main(["laws", "--seed", "1", "--cases", "1", "--law", "nope"]) == 2
-        assert "unknown law" in capsys.readouterr().err
+        for mode in ([], ["--json"]):
+            for cases in ("1", "0"):
+                code = main(mode + ["laws", "--seed", "1", "--cases", cases, "--law", "nope"])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (2, ""), (mode, cases)
+                assert captured.err == "error: unknown law 'nope'\n", (mode, cases)
 
     def test_cases_over_the_limit(self, capsys):
         cases = str(MAX_CASES + 1)

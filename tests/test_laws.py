@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -97,6 +98,20 @@ def test_unknown_law_rejected():
         check_law("no_such_law", {})
     with pytest.raises(ValueError, match="unknown law"):
         run_suite(seed=1, cases=1, law_ids=["no_such_law"])
+    # law ids are checked before the case count
+    with pytest.raises(ValueError, match="unknown law 'no_such_law'"):
+        run_suite(seed=1, cases=0, law_ids=["no_such_law"])
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [{}, {"q": None}, {"p": None, "q": None}],
+    ids=["empty", "wrong-field", "extra-field"],
+)
+def test_check_law_rejects_instance_with_wrong_fields(instance):
+    got = sorted(instance)
+    with pytest.raises(ValueError, match=rf"takes fields \['p'\], got {re.escape(str(got))}"):
+        check_law("monad_left_unit", instance)
 
 
 def test_cases_must_be_positive():
@@ -109,6 +124,16 @@ def test_custom_budget_respected():
     report = run_suite(seed=21, cases=2, budget=tiny, law_ids=["marginals_of_product_identity"])
     assert report.all_passed()
     assert report.to_json()["budget"]["max_points"] == 2
+    # every generator draws its numerators from the budget, the three-layer one too
+    one = SizeBudget(max_numerator=1)
+    entry = CATALOG["monad_associativity"]
+    for seed in range(1, 6):
+        instance = entry.generate(_law_rng(seed, entry.id), one)
+        weights = list(instance["weights"])
+        for nu in instance["layers"]:
+            weights += list(nu.weights)
+            weights += [w for m in nu.inner for w in m.weights]
+        assert max(w.denominator for w in weights) <= 4, seed
 
 
 # sha256 digests recorded before the catalog was declared with @law; a

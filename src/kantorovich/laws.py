@@ -881,13 +881,25 @@ def run_suite(
     return report
 
 
+def _kind(value) -> str:
+    """The report's type tag of a live value; a list's also names its elements' tags."""
+    try:
+        typed = jsonio.value_to_json(value)
+    except ValueError:
+        return type(value).__name__
+    if typed["type"] != "list":
+        return typed["type"]
+    return "list of " + (" or ".join(sorted({_kind(x) for x in value})) or "nothing")
+
+
 def check_law(law_id: str, instance) -> CheckOutcome:
     """Replay a single serialized instance against one law.
 
     ``instance`` is either a dict of live objects or their typed JSON form,
     as found under ``first_counterexample.instance`` in a report, and must
-    carry exactly the fields its checker takes. Both sides of the returned
-    outcome are in the report's JSON form.
+    carry exactly the fields its checker takes, each of the kind that the
+    law's generator makes (as read from its type tags). Both sides of the
+    returned outcome are in the report's JSON form.
     """
     entry = _entry(law_id)
     fields = list(inspect.signature(entry.check).parameters)
@@ -897,5 +909,12 @@ def check_law(law_id: str, instance) -> CheckOutcome:
         isinstance(v, dict) and "type" in v for v in instance.values()
     ):
         instance = jsonio.instance_from_json(instance)
+    template = entry.generate(_law_rng(0, law_id), DEFAULT_BUDGET)
+    for name in fields:
+        expected, given = _kind(template[name]), _kind(instance[name])
+        if given != expected:
+            raise ValueError(
+                f"law {law_id!r} field {name!r} takes a {expected}, got a {given}"
+            )
     outcome = entry.check(**instance)
     return CheckOutcome(outcome.ok, _side_json(outcome.lhs), _side_json(outcome.rhs))

@@ -3,9 +3,10 @@
 Weights are exact ``fractions.Fraction`` values. Each measure also keeps
 them scaled to integers over their least common denominator, and the sign
 and sum-to-one checks, equality, hashing, integration, pushforward and the
-joint and marginal maps all run on those ints; measures computed from other
-measures hand their ints to construction directly and make one ``Fraction``
-per distinct weight.
+joint and marginal maps all run on those ints. Measures computed from other
+measures hand their ints to construction directly and keep only them: their
+public weights are made on first read, one ``Fraction`` per distinct
+weight, and kept.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .metric import (
     ShortFunctional,
     ShortMap,
     _as_fraction,
+    _OnFirstRead,
     _over,
     _reduced,
     _to_units,
@@ -36,11 +38,12 @@ class Measure:
     of weight tables. Weights must be nonnegative and sum to exactly 1.
     ``_units`` is ``weights`` scaled to integers by ``_denom``, the least
     common denominator of its entries; that form is canonical, so equality
-    and hashing read it instead of the ``Fraction`` table.
+    and hashing read it instead of the ``Fraction`` table. A measure built
+    from ints keeps only them and makes ``weights`` on first read.
     """
 
     space: FinMetricSpace
-    weights: tuple
+    weights: tuple = _OnFirstRead(lambda p: _over((p._units,), p._denom)[0])
     _kernel: InitVar[tuple | None] = None
     _units: tuple = field(init=False, compare=False, repr=False)
     _denom: int = field(init=False, compare=False, repr=False)
@@ -51,8 +54,12 @@ class Measure:
             object.__setattr__(self, "weights", weights)
             units, denom = _to_units(weights)
         else:
-            # weights was made from these ints by _from_units
+            # built by _from_units: weights is made from the ints on first read
+            del self.__dict__["weights"]
             units, denom = _kernel
+        # set first: the error messages below read weights, which may need them
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_denom", denom)
         if len(units) != len(self.space):
             raise ValueError("need one weight per point of the space")
         if min(units) < 0:
@@ -61,14 +68,12 @@ class Measure:
                     raise ValueError(f"negative weight {w} at {p!r}")
         if sum(units) != denom:
             raise ValueError(f"weights sum to {sum(self.weights)}, expected exactly 1")
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(self, "_denom", denom)
 
     @classmethod
     def _from_units(cls, space: FinMetricSpace, units, denom: int) -> "Measure":
         """The measure with weights ``units[i] / denom``, checked like any other."""
         units, denom = _reduced(units, denom)
-        return cls(space, _over((units,), denom)[0], (units, denom))
+        return cls(space, None, (units, denom))
 
     def __eq__(self, other):
         if self is other:
@@ -98,7 +103,7 @@ class Measure:
         return self.weights[self.space.index(point)]
 
     def support(self) -> tuple:
-        return tuple(p for p, w in zip(self.space.points, self.weights) if w > 0)
+        return tuple(p for p, w in zip(self.space.points, self._units) if w > 0)
 
 
 def dirac(space: FinMetricSpace, point: Label) -> Measure:

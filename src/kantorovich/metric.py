@@ -6,10 +6,11 @@ construction time. Each space also keeps its distance matrix scaled to
 integers over one common denominator, and each short functional its values,
 and the checks run on those ints: the triangle inequality is tested on every
 triple, and the Lipschitz bound on every pair, one C-level pass per point or
-pair. Spaces built from ints (tensors, generated spaces) hand them to
-construction directly, and their public ``Fraction`` entries are made once
-per distinct value. Values are immutable after construction; every operation
-is a pure function.
+pair. Spaces and functionals built from ints (tensors, generated spaces,
+joints, closures) hand them to construction directly and keep only them:
+their public ``Fraction`` entries are made on first read, one ``Fraction``
+per distinct value, and kept. Values are immutable after construction;
+every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -33,6 +34,28 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+class _OnFirstRead:
+    """A dataclass field that an instance built from ints makes on first read.
+
+    A non-data descriptor: the public constructor stores the field on the
+    instance, which shadows this; a kernel construction drops it, and the
+    first read computes ``make(instance)`` and stores that instead. Reading
+    it on the class raises AttributeError, so the field gets no default.
+    """
+
+    def __init__(self, make):
+        self.make = make
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.name)
+        value = instance.__dict__[self.name] = self.make(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class FinMetricSpace:
     """A finite metric space: ordered point labels and an exact distance matrix.
@@ -46,12 +69,15 @@ class FinMetricSpace:
     construction metadata and takes no part in equality or hashing.
     ``_ints`` is ``dist`` scaled to integers by ``_scale``, the least common
     denominator of its entries; the axioms are checked on it, and so are
-    map shortness, functional shortness and the transport costs. The hash
-    is computed on first use and kept.
+    map shortness, functional shortness and the transport costs. A space
+    built from ints keeps only them and makes ``dist`` on first read. Both
+    construction paths reduce ``_ints`` and ``_scale`` by their gcd, so that
+    form is canonical, and equality and hashing read it instead of the
+    ``Fraction`` table. The hash is computed on first use and kept.
     """
 
     points: tuple
-    dist: tuple
+    dist: tuple = _OnFirstRead(lambda space: _over(space._ints, space._scale))
     factors: tuple | None = field(default=None, compare=False)
     _kernel: InitVar[tuple | None] = None
     _index: dict = field(init=False, compare=False, repr=False)
@@ -77,14 +103,14 @@ class FinMetricSpace:
                 tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist
             )
         else:
-            # dist was made from these ints by _from_ints
-            dist = self.dist
+            # built by _from_ints: dist is made from the ints on first read
+            del self.__dict__["dist"]
             ints, scale = _kernel
         if len(ints) != n or any(len(row) != n for row in ints):
             raise ValueError(f"distance matrix must be {n}x{n}")
         object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_scale", scale)
-        _check_axioms(points, dist, ints)
+        _check_axioms(self)
 
     @classmethod
     def _from_ints(cls, points, rows, scale: int, factors=None) -> "FinMetricSpace":
@@ -94,18 +120,22 @@ class FinMetricSpace:
             ints = tuple(map(tuple, rows))
         else:
             ints, scale = tuple(tuple(x // g for x in row) for row in rows), scale // g
-        return cls(points, _over(ints, scale), factors, (ints, scale))
+        return cls(points, None, factors, (ints, scale))
 
     def __eq__(self, other):
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.points == other.points and self.dist == other.dist
+        return (
+            self._scale == other._scale
+            and self._ints == other._ints
+            and self.points == other.points
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.points, self.dist)))
+            object.__setattr__(self, "_hash", hash((self.points, self._scale, self._ints)))
         return self._hash
 
     def __len__(self) -> int:
@@ -121,13 +151,14 @@ class FinMetricSpace:
         return self.dist[self.index(a)][self.index(b)]
 
 
-def _check_axioms(points, dist, ints) -> None:
-    """Raise on the first metric axiom that the scaled matrix ``ints`` breaks.
+def _check_axioms(space: FinMetricSpace) -> None:
+    """Raise on the first metric axiom that the space's ``_ints`` breaks.
 
     The whole matrix is tested at C speed first, and only a failing matrix is
     scanned in the original order, pair by pair, to name the first violation;
-    ``dist`` gives the exact values for the message.
+    ``dist`` is read only for the exact values of the message.
     """
+    points, ints = space.points, space._ints
     n = len(ints)
     if (
         any(ints[i][i] for i in range(n))
@@ -141,7 +172,7 @@ def _check_axioms(points, dist, ints) -> None:
                 if i != j and ints[i][j] <= 0:
                     raise ValueError(
                         f"distinct points {points[i]!r}, {points[j]!r} require "
-                        f"positive distance, got {dist[i][j]}"
+                        f"positive distance, got {space.dist[i][j]}"
                     )
                 if ints[i][j] != ints[j][i]:
                     raise ValueError(
@@ -153,6 +184,7 @@ def _check_axioms(points, dist, ints) -> None:
         for j in range(i + 1, n):
             if row[j] > min(map(add, row, ints[j])):
                 k = next(k for k in range(n) if row[j] > row[k] + ints[k][j])
+                dist = space.dist
                 raise ValueError(
                     "triangle inequality violated: "
                     f"d({points[i]!r},{points[j]!r}) = {dist[i][j]} > "
@@ -362,11 +394,12 @@ class ShortFunctional:
     ``values`` is aligned with ``domain.points``. The Lipschitz bound
     |f(a) - f(b)| <= d(a, b) is checked over all pairs on construction, on
     ``_units``: the values scaled to integers by ``_denom``, the least common
-    denominator of their entries.
+    denominator of their entries. A functional built from ints keeps only
+    them and makes ``values`` on first read.
     """
 
     domain: FinMetricSpace
-    values: tuple
+    values: tuple = _OnFirstRead(lambda f: _over((f._units,), f._denom)[0])
     _kernel: InitVar[tuple | None] = None
     _units: tuple = field(init=False, compare=False, repr=False)
     _denom: int = field(init=False, compare=False, repr=False)
@@ -377,7 +410,8 @@ class ShortFunctional:
             object.__setattr__(self, "values", values)
             units, denom = _to_units(values)
         else:
-            # values was made from these ints by _from_units
+            # built by _from_units: values is made from the ints on first read
+            del self.__dict__["values"]
             units, denom = _kernel
         if len(units) != len(self.domain):
             raise ValueError("functional must assign a value to every point")
@@ -399,7 +433,7 @@ class ShortFunctional:
     def _from_units(cls, domain: FinMetricSpace, units, denom: int) -> "ShortFunctional":
         """The functional with values ``units[i] / denom``, checked like any other."""
         units, denom = _reduced(units, denom)
-        return cls(domain, _over((units,), denom)[0], (units, denom))
+        return cls(domain, None, (units, denom))
 
     @classmethod
     def from_mapping(

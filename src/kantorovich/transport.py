@@ -35,9 +35,11 @@ covers them through the shortness constraints.
 
 Results become rationals again at the boundary, and all three certificates
 are checked exactly on every call: the coupling's marginals and cost by
-``TransportPlan`` (on its own ints), the shortness of the witness by the
-construction of its ``ShortFunctional`` (on ints, over every pair), and the
-equality of primal and dual costs on the exact integrals.
+``TransportPlan`` (on its nonzero cells as ints), the shortness of the
+witness by the construction of its ``ShortFunctional`` (on ints, over every
+pair), and the equality of primal and dual costs on the exact integrals.
+The plan and the witness keep their ints; their dense ``Fraction`` tables
+are made on first read.
 
 The brute-force oracle shares no code with the solver: it enumerates the
 spanning trees of the support graph depth first and scales masses and
@@ -47,14 +49,23 @@ distances by its own common denominators.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt, lcm
 from operator import add, sub
 
 from .measure import Measure, integrate
-from .metric import ShortFunctional, _as_fraction, zero_functional
+from .metric import ShortFunctional, _as_fraction, _OnFirstRead, zero_functional
+
+
+def _dense(plan) -> tuple:
+    """The plan's coupling matrix, zero off its nonzero cells."""
+    n = len(plan.source.space)
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, x in plan._cells:
+        grid[i][j] = Fraction(x, plan._scale)
+    return tuple(map(tuple, grid))
 
 
 @dataclass(frozen=True)
@@ -65,50 +76,67 @@ class TransportPlan:
     common space. Row sums must equal the source weights exactly, column sums
     the target weights, and ``cost`` the coupling-weighted sum of distances.
 
-    The sums run on ints: the nonzero entries scaled by the lcm of their own
-    denominators and of the two measures' ``_denom``, against the measures'
-    ``_units`` and the space's ``_ints``. The check stays independent of the
-    solver: it reads only the plan's public entries and cost, the two
-    measures and the space, never the solver's common denominator or flows,
-    so a coupling that a solver got wrong is rejected however it was built.
+    The checks run on ``_cells``, the nonzero cells ``(i, j, x)`` with the
+    entry ``x / _scale`` an int over one denominator, against the measures'
+    ``_units`` and the space's ``_ints``. The public constructor takes the
+    cells from the dense ``coupling``; :func:`wasserstein` passes
+    ``(cells, scale)`` as the private ``_kernel`` instead, with ``coupling``
+    None, and ``coupling`` is then made on first read. Either way the check
+    stays independent of the solver: it reads only the plan's cells and
+    cost, the two measures and the space, never the solver's flows, so a
+    coupling that a solver got wrong is rejected however it was built.
     """
 
     source: Measure
     target: Measure
-    coupling: tuple
+    coupling: tuple = _OnFirstRead(_dense)
     cost: Fraction
+    _kernel: InitVar[tuple | None] = None
+    _cells: tuple = field(init=False, compare=False, repr=False)
+    _scale: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        coupling = tuple(tuple(map(_as_fraction, row)) for row in self.coupling)
-        object.__setattr__(self, "coupling", coupling)
+    def __post_init__(self, _kernel):
+        if _kernel is None:
+            coupling = tuple(tuple(map(_as_fraction, row)) for row in self.coupling)
+            object.__setattr__(self, "coupling", coupling)
+        else:
+            # handed its cells as ints: coupling is made from them on first read
+            del self.__dict__["coupling"]
         object.__setattr__(self, "cost", _as_fraction(self.cost))
         source, target = self.source, self.target
         space = source.space
         if space != target.space:
             raise ValueError("coupling endpoints live on different spaces")
         n = len(space)
-        if len(coupling) != n or any(len(row) != n for row in coupling):
-            raise ValueError(f"coupling must be {n}x{n}")
-        # zero cells add nothing to a sum, so every check reads the others only
-        cells = [(i, j, x) for i, row in enumerate(coupling) for j, x in enumerate(row) if x]
+        if _kernel is None:
+            if len(coupling) != n or any(len(row) != n for row in coupling):
+                raise ValueError(f"coupling must be {n}x{n}")
+            # zero cells add nothing to a sum, so every check reads the others only
+            cells = [(i, j, x) for i, row in enumerate(coupling) for j, x in enumerate(row) if x]
+            scale = lcm(*{x.denominator for _, _, x in cells})
+            cells = tuple((i, j, x.numerator * (scale // x.denominator)) for i, j, x in cells)
+        else:
+            cells, scale = _kernel
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_scale", scale)
         if any(x < 0 for _, _, x in cells):
             raise ValueError("coupling entries must be nonnegative")
-        scale = lcm(source._denom, target._denom, *{x.denominator for _, _, x in cells})
-        units = [(i, j, x.numerator * (scale // x.denominator)) for i, j, x in cells]
         rows, cols = [0] * n, [0] * n
-        for i, j, x in units:
+        for i, j, x in cells:
             rows[i] += x
             cols[j] += x
+        common = lcm(scale, source._denom, target._denom)
+        share = common // scale
         for sums, measure, name in ((rows, source, "row"), (cols, target, "column")):
-            share = scale // measure._denom
+            expected = common // measure._denom
             for i, total in enumerate(sums):
-                if total != measure._units[i] * share:
+                if total * share != measure._units[i] * expected:
                     raise ValueError(
                         f"{name} {i} sums to {Fraction(total, scale)}, "
                         f"expected {measure.weights[i]}"
                     )
         ints = space._ints
-        total = sum(x * ints[i][j] for i, j, x in units)
+        total = sum(x * ints[i][j] for i, j, x in cells)
         if total * self.cost.denominator != self.cost.numerator * scale * space._scale:
             raise ValueError(
                 f"stated cost {self.cost} differs from actual "
@@ -379,21 +407,21 @@ def _certified(p: Measure, q: Measure, problem, flows, u):
     """
     rows, cols, w, costs, supplies, demands = problem
     space = p.space
-    n, d = len(space), space._scale
+    d = space._scale
     witness = _greatest_witness(space, rows, cols, flows, u)
     at_cols = [witness[j] for j in cols]
     tight = [
         [b for b, (c, y) in enumerate(zip(row, at_cols)) if witness[i] - y == c]
         for i, row in zip(rows, costs)
     ]
-    grid = [[Fraction(0)] * n for _ in range(n)]
+    cells = []
     total = 0
     for b, column in enumerate(_tight_coupling(tight, supplies, demands)):
         for a, f in column.items():
-            grid[rows[a]][cols[b]] = Fraction(f, w)
+            cells.append((rows[a], cols[b], f))
             total += f * costs[a][b]
     cost = Fraction(total, w * d)
-    plan = TransportPlan(p, q, tuple(map(tuple, grid)), cost)
+    plan = TransportPlan(p, q, None, cost, (tuple(cells), w))
     potential = ShortFunctional._from_units(space, witness, d)
     attained = integrate(potential, p) - integrate(potential, q)
     if attained != cost:
@@ -419,12 +447,8 @@ def wasserstein(p: Measure, q: Measure):
     if p.space != q.space:
         raise ValueError("measures live on different spaces")
     if p == q:
-        n = len(p.space)
-        coupling = tuple(
-            tuple(p.weights[i] if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
-        plan = TransportPlan(p, q, coupling, Fraction(0))
+        cells = tuple((i, i, x) for i, x in enumerate(p._units) if x)
+        plan = TransportPlan(p, q, None, Fraction(0), (cells, p._denom))
         return Fraction(0), plan, DualWitness(zero_functional(p.space))
     problem = _problem(p, q)
     flows, u, _ = _solve_transportation(*problem[3:])

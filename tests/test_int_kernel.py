@@ -12,18 +12,23 @@ import pytest
 from hypothesis import given, settings
 
 from kantorovich import (
+    FinMetricSpace,
     Measure,
     NestedMeasure,
     ShortFunctional,
+    TransportPlan,
     expectation,
     integrate,
     marginals,
     partial_integral,
     product,
     pushforward,
+    sum_functional,
     tensor,
+    wasserstein,
 )
 from kantorovich.generate import random_short_map
+from kantorovich.metric import _over
 
 from strategies import functionals_on, metric_spaces
 
@@ -131,6 +136,13 @@ class TestMeasureConstruction:
             assert fast.weights == slow.weights
             assert (fast._units, fast._denom) == (slow._units, slow._denom)
             assert fast._denom == lcm(*(w.denominator for w in slow.weights))
+
+    def test_negative_unit_names_the_weight(self, two_point):
+        # the message reads weights, which an int-built measure makes from
+        # _units on first read, so the check must come after _units is set
+        expected = "negative weight -1/3 at 'b'"
+        assert _verdict(lambda: Measure(two_point, (Fraction(4, 3), Fraction(-1, 3)))) == expected
+        assert _verdict(lambda: Measure._from_units(two_point, (4, -1), 3)) == expected
 
     @pytest.mark.parametrize("denom", [2**61 - 1, 999983])
     def test_coprime_denominators(self, two_point, denom):
@@ -241,3 +253,128 @@ class TestFunctionalConstruction:
         scale = lcm(*(v.denominator for v in f.values)) * 999983
         same = ShortFunctional._from_units(space, [int(v * scale) for v in f.values], scale)
         assert same == f and same._denom == f._denom
+
+
+def _fractions_only(table) -> bool:
+    return all(type(x) is Fraction for x in table)
+
+
+# objects built from ints make their Fraction tables on first read; these
+# hold each such table to _over on the ints, and to a Fraction loop
+class TestFirstRead:
+    def test_no_table_until_read(self):
+        # labels no other test uses, so the tensor cache hands back a fresh space
+        x = FinMetricSpace(("first-read-a", "first-read-b"), ((0, 1), (1, 0)))
+        y = FinMetricSpace(("first-read-c",), ((0,),))
+        p, q = Measure(x, (Fraction(1, 3), Fraction(2, 3))), Measure(y, (1,))
+        joint = product(p, q)
+        f = ShortFunctional(x, (0, 1))
+        made = {
+            "dist": joint.space,
+            "weights": joint,
+            "values": sum_functional(f, ShortFunctional(y, (0,))),
+            "coupling": wasserstein(joint, joint)[1],
+        }
+        for name, obj in made.items():
+            assert name not in vars(obj), name
+            table = getattr(obj, name)
+            assert vars(obj)[name] is table is getattr(obj, name), name
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_tensor_dist(self, data):
+        x, y = data.draw(metric_spaces(1, 3, "x")), data.draw(metric_spaces(1, 3, "y"))
+        xy = tensor(x, y)
+        assert xy.dist == _over(xy._ints, xy._scale)
+        assert xy.dist == tuple(
+            tuple(x.dist[i][k] + y.dist[j][m] for k in range(len(x)) for m in range(len(y)))
+            for i in range(len(x))
+            for j in range(len(y))
+        )
+        assert all(_fractions_only(row) for row in xy.dist)
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_product_weights(self, data):
+        x, y = data.draw(metric_spaces(1, 3, "x")), data.draw(metric_spaces(1, 3, "y"))
+        p, q = data.draw(measures_on(x)), data.draw(measures_on(y))
+        joint = product(p, q)
+        assert joint.weights == _over((joint._units,), joint._denom)[0]
+        assert joint.weights == tuple(a * b for a in p.weights for b in q.weights)
+        assert _fractions_only(joint.weights)
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_sum_functional_values(self, data):
+        x, y = data.draw(metric_spaces(1, 3, "x")), data.draw(metric_spaces(1, 3, "y"))
+        f, g = data.draw(functionals_on(x)), data.draw(functionals_on(y))
+        h = sum_functional(f, g)
+        assert h.values == _over((h._units,), h._denom)[0]
+        assert h.values == tuple(a + b for a in f.values for b in g.values)
+        assert _fractions_only(h.values)
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_coupling_is_the_dense_grid(self, data):
+        x = data.draw(metric_spaces(1, 4))
+        p, q = data.draw(measures_on(x)), data.draw(measures_on(x))
+        _, plan, _ = wasserstein(p, q)
+        n = len(x)
+        grid = [[Fraction(0)] * n for _ in range(n)]
+        for i, j, f in plan._cells:
+            grid[i][j] = Fraction(f, plan._scale)
+        assert plan.coupling == tuple(map(tuple, grid))
+        assert all(_fractions_only(row) for row in plan.coupling)
+        assert tuple(map(sum, plan.coupling)) == p.weights
+        assert TransportPlan(p, q, plan.coupling, plan.cost) == plan
+
+
+@st.composite
+def plan_cases(draw):
+    """An optimal plan's dense coupling and cost, kept valid or broken one way.
+
+    Half of a nonzero cell moved along its column breaks two row sums and no
+    column sum, and moved along its row two column sums only; moved onto
+    itself, it adds half the cell and breaks its row. A cell can also be
+    made negative, or the cost wrong.
+    """
+    x = draw(metric_spaces(1, 4))
+    p, q = draw(measures_on(x)), draw(measures_on(x))
+    _, plan, _ = wasserstein(p, q)
+    grid = [list(row) for row in plan.coupling]
+    cost = plan.cost
+    n = len(x)
+    i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if grid[i][j]]))
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    half = grid[i][j] / 2
+    kind = draw(st.sampled_from(("valid", "row", "column", "negative", "cost")))
+    if kind == "row":
+        grid[i][j] -= half if k != i else 0
+        grid[k][j] += half
+    elif kind == "column":
+        grid[i][j] -= half if k != j else 0
+        grid[i][k] += half
+    elif kind == "negative":
+        grid[k][j] = -Fraction(1, draw(st.sampled_from(DENOMINATORS)))
+    elif kind == "cost":
+        cost += Fraction(1, draw(st.sampled_from(DENOMINATORS)))
+    return p, q, tuple(map(tuple, grid)), cost
+
+
+class TestPlanCells:
+    @given(plan_cases(), st.sampled_from(DENOMINATORS))
+    @settings(max_examples=200)
+    def test_cells_and_dense_agree(self, case, extra):
+        p, q, coupling, cost = case
+        expected = _verdict(lambda: TransportPlan(p, q, coupling, cost))
+        scale = lcm(*(x.denominator for row in coupling for x in row)) * extra
+        cells = tuple(
+            (i, j, int(x * scale))
+            for i, row in enumerate(coupling)
+            for j, x in enumerate(row)
+            if x
+        )
+        assert _verdict(lambda: TransportPlan(p, q, None, cost, (cells, scale))) == expected
+        if expected is None:
+            plan = TransportPlan(p, q, None, cost, (cells, scale))
+            assert plan.coupling == coupling

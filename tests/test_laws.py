@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from kantorovich import jsonio
+from kantorovich.generate import random_space
 from kantorovich.laws import (
     CATALOG,
     DEFAULT_BUDGET,
@@ -14,6 +16,7 @@ from kantorovich.laws import (
     check_law,
     run_law,
     run_suite,
+    _kind,
     _law_rng,
 )
 
@@ -112,6 +115,29 @@ def test_check_law_rejects_instance_with_wrong_fields(instance):
     got = sorted(instance)
     with pytest.raises(ValueError, match=rf"takes fields \['p'\], got {re.escape(str(got))}"):
         check_law("monad_left_unit", instance)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["live", "json"])
+def test_check_law_names_a_field_of_the_wrong_kind(as_json):
+    space = random_space(random.Random(0))
+    instance = {"p": space}
+    if as_json:
+        instance = jsonio.instance_to_json(instance)
+    with pytest.raises(ValueError, match=r"field 'p' takes a measure, got a space$"):
+        check_law("monad_left_unit", instance)
+    entry = CATALOG["monad_associativity"]
+    instance = entry.generate(_law_rng(3, entry.id), DEFAULT_BUDGET)
+    instance["layers"] = [space]
+    with pytest.raises(ValueError, match=r"'layers' takes a list of nested, got a list of space$"):
+        check_law(entry.id, instance)
+
+
+def test_generated_kinds_do_not_depend_on_the_seed():
+    # check_law reads each field's expected kind off one generated instance
+    for law_id, entry in CATALOG.items():
+        instances = [entry.generate(_law_rng(seed, law_id), DEFAULT_BUDGET) for seed in range(6)]
+        kinds = [{name: _kind(v) for name, v in inst.items()} for inst in instances]
+        assert all(k == kinds[0] for k in kinds), law_id
 
 
 def test_cases_must_be_positive():

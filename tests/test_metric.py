@@ -305,6 +305,31 @@ def _square_matrices(draw):
     return tuple(f"p{i}" for i in range(n)), tuple(tuple(row) for row in rows)
 
 
+@st.composite
+def _pool_spaces(draw):
+    """A space of 1 to 3 points from a small pool, built by either path.
+
+    The pool is small, so equal spaces built in different ways are common.
+    The int path gets the distances over their lcm times 1 to 4, so its
+    scale is often not reduced.
+    """
+    n = draw(st.integers(min_value=1, max_value=3))
+    points = tuple(draw(st.permutations(("a", "b", "c")))[:n])
+    entries = st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3, 2)))
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = draw(entries)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    if draw(st.booleans()):
+        return FinMetricSpace(points, dist)
+    scale = 2 * draw(st.integers(min_value=1, max_value=4))
+    return FinMetricSpace._from_ints(points, [[int(x * scale) for x in row] for row in dist], scale)
+
+
 def _axiom_error(points, dist):
     try:
         FinMetricSpace(points, dist)
@@ -442,11 +467,10 @@ class TestIntegerKernel:
             assert new.random() == old.random()
 
     def test_cached_fields_take_no_part_in_eq_hash_or_repr(self):
+        # equality and hashing read _ints and _scale, which are canonical, so
+        # they agree with (points, dist): see test_equality_reads_the_canonical_ints
         exact = FinMetricSpace(("a", "b"), ((0, Fraction(3, 2)), (Fraction(3, 2), 0)))
         parsed = FinMetricSpace(("a", "b"), (("0", "3/2"), ("3/2", "0")))
-        assert exact == parsed and hash(exact) == hash(parsed)
-        object.__setattr__(parsed, "_ints", ((0, 1), (1, 0)))
-        object.__setattr__(parsed, "_scale", 7)
         assert exact == parsed and hash(exact) == hash(parsed)
         assert repr(exact) == repr(parsed)
         assert "_ints" not in repr(exact) and "_scale" not in repr(exact)
@@ -455,3 +479,10 @@ class TestIntegerKernel:
             "dist",
             "factors",
         }
+
+    @settings(max_examples=300)
+    @given(_pool_spaces(), _pool_spaces())
+    def test_equality_reads_the_canonical_ints(self, a, b):
+        assert (a == b) == ((a.points, a.dist) == (b.points, b.dist))
+        if a == b:
+            assert hash(a) == hash(b)

@@ -153,7 +153,13 @@ def _independent(args, ws, r):
     return {"independent": verdict}, [_bool(verdict)]
 
 
+def _product(args, ws, p, q):
+    jsonio._check_size(len(p.space) * len(q.space))
+    return _measure(product(p, q))
+
+
 def _independent_maps(args, ws, s, f1, f2):
+    jsonio._check_size(len(f1.codomain) * len(f2.codomain))
     verdict, pairing_short = _maps_independence(Law(s.space, s), f1, f2)
     payload = {"independent": verdict, "tupling_short": pairing_short}
     return payload, [_bool(verdict), f"tupling_short: {_bool(pairing_short)}"]
@@ -165,12 +171,7 @@ _PQ = (("p", "measure"), ("q", "measure"))
 _COMMANDS = (
     ("validate", "load a workspace and run all invariant checks", (), _validate),
     ("distance", "exact transport distance between two measures", _PQ, _distance),
-    (
-        "product",
-        "independent joint of two measures",
-        _PQ,
-        lambda args, ws, p, q: _measure(product(p, q)),
-    ),
+    ("product", "independent joint of two measures", _PQ, _product),
     ("marginals", "both marginals of a joint measure", (("r", "measure"),), _marginals),
     ("independent", "test a joint for independence", (("r", "measure"),), _independent),
     (

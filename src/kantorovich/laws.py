@@ -7,8 +7,8 @@ takes those fields as its parameters, so a replayed instance must carry
 exactly its checker's fields. A suite run is fully deterministic: each law
 draws its instances from a private generator seeded by a stable hash of the
 suite seed and the law id, so adding a law never perturbs the instances of
-another. Failures never abort a run; they are recorded in the report
-together with the first counterexample.
+another. Failures, and cases that raise, never abort a run; they are
+recorded in the report together with the first counterexample.
 """
 
 from __future__ import annotations
@@ -833,15 +833,31 @@ def _entry(law_id: str) -> LawCatalogEntry:
 
 
 def run_law(law_id: str, seed: int, cases: int, budget: SizeBudget = DEFAULT_BUDGET):
-    """Run one catalog law for the given number of cases; returns its entry."""
+    """Run one catalog law for the given number of cases; returns its entry.
+
+    A case whose generator or checker raises counts as a failure; if it is
+    the first, its counterexample holds the instance (None if the generator
+    raised) and the error as ``"<Type>: <message>"``.
+    """
     entry = _entry(law_id)
     rng = _law_rng(seed, law_id)
     runs = 1 if entry.expected_counterexample else cases
     failures = 0
     first = None
     for _ in range(runs):
-        instance = entry.generate(rng, budget)
-        outcome = entry.check(**instance)
+        instance = None
+        try:
+            instance = entry.generate(rng, budget)
+            outcome = entry.check(**instance)
+        except Exception as exc:
+            # a case that raises is a failure like any other, so the run goes on
+            failures += 1
+            if first is None:
+                first = {
+                    "instance": None if instance is None else jsonio.instance_to_json(instance),
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
+            continue
         if not outcome.ok:
             failures += 1
             if first is None:

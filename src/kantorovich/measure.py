@@ -1,12 +1,10 @@
 """Finitely-supported probability measures with exact rational weights.
 
-Weights are exact ``fractions.Fraction`` values. Each measure also keeps
-them scaled to integers over their least common denominator, and the sign
-and sum-to-one checks, equality, hashing, integration, pushforward and the
-joint and marginal maps all run on those ints. Measures computed from other
-measures hand their ints to construction directly and keep only them: their
-public weights are made on first read, one ``Fraction`` per distinct
-weight, and kept.
+Weights are exact rationals, kept as ints over their least common
+denominator, and the sign and sum-to-one checks, equality, hashing,
+integration, pushforward and the joint and marginal maps all run on those
+ints; the ``Fraction`` weights are made on first read, as for every exact
+object (see :mod:`kantorovich.metric`).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from .metric import (
     Label,
     ShortFunctional,
     ShortMap,
-    _as_fraction,
     _OnFirstRead,
     _over,
     _reduced,
@@ -38,8 +35,7 @@ class Measure:
     of weight tables. Weights must be nonnegative and sum to exactly 1.
     ``_units`` is ``weights`` scaled to integers by ``_denom``, the least
     common denominator of its entries; that form is canonical, so equality
-    and hashing read it instead of the ``Fraction`` table. A measure built
-    from ints keeps only them and makes ``weights`` on first read.
+    and hashing read it.
     """
 
     space: FinMetricSpace
@@ -49,15 +45,9 @@ class Measure:
     _denom: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, _kernel):
-        if _kernel is None:
-            weights = tuple(map(_as_fraction, self.weights))
-            object.__setattr__(self, "weights", weights)
-            units, denom = _to_units(weights)
-        else:
-            # built by _from_units: weights is made from the ints on first read
-            del self.__dict__["weights"]
-            units, denom = _kernel
-        # set first: the error messages below read weights, which may need them
+        given = self.__dict__.pop("weights")
+        units, denom = _to_units(given) if _kernel is None else _kernel
+        # set first: the error messages below read weights, which are made from them
         object.__setattr__(self, "_units", units)
         object.__setattr__(self, "_denom", denom)
         if len(units) != len(self.space):
@@ -97,7 +87,7 @@ class Measure:
         unknown = [k for k in mapping if k not in space._index]
         if unknown:
             raise ValueError(f"weights name unknown points: {unknown!r}")
-        return cls(space, tuple(_as_fraction(mapping.get(p, 0)) for p in space.points))
+        return cls(space, tuple(mapping.get(p, 0) for p in space.points))
 
     def weight_at(self, point: Label) -> Fraction:
         return self.weights[self.space.index(point)]

@@ -1,16 +1,18 @@
 """Finite metric spaces, short (1-Lipschitz) maps, and the tensor product.
 
-All distances and functional values are exact ``fractions.Fraction`` values
-and every invariant (metric axioms, shortness) is checked exhaustively at
-construction time. Each space also keeps its distance matrix scaled to
-integers over one common denominator, and each short functional its values,
-and the checks run on those ints: the triangle inequality is tested on every
-triple, and the Lipschitz bound on every pair, one C-level pass per point or
-pair. Spaces and functionals built from ints (tensors, generated spaces,
-joints, closures) hand them to construction directly and keep only them:
-their public ``Fraction`` entries are made on first read, one ``Fraction``
-per distinct value, and kept. Values are immutable after construction;
-every operation is a pure function.
+All distances and functional values are exact rationals, and every
+invariant (metric axioms, shortness) is checked exhaustively at construction
+time. Every exact object of the package (space, functional, measure, nested
+measure, transport plan) stores one form of its numbers: ints over one
+common denominator. The public constructors turn the table they are given
+into that form and keep nothing else; objects computed from other objects
+(tensors, generated spaces, joints, closures) hand their ints to
+construction directly. Either way the checks run on those ints: the triangle
+inequality is tested on every triple, and the Lipschitz bound on every pair,
+one C-level pass per point or pair. The public ``Fraction`` table (``dist``,
+``values``, ``weights``, ``coupling``) is made on first read, one
+``Fraction`` per distinct value, and kept. Values are immutable after
+construction; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ def _as_fraction(x) -> Fraction:
 
 
 class _OnFirstRead:
-    """A dataclass field that an instance built from ints makes on first read.
+    """A public table that every instance makes from its ints on first read.
 
-    A non-data descriptor: the public constructor stores the field on the
-    instance, which shadows this; a kernel construction drops it, and the
-    first read computes ``make(instance)`` and stores that instead. Reading
-    it on the class raises AttributeError, so the field gets no default.
+    A non-data descriptor. Every construction pops the table it was given
+    (``None`` from a kernel construction) off the instance and keeps only
+    its ints; the first read computes ``make(instance)`` and stores it on the
+    instance, which then shadows this. Reading it on the class raises
+    AttributeError, so the field gets no default.
     """
 
     def __init__(self, make):
@@ -69,11 +72,9 @@ class FinMetricSpace:
     construction metadata and takes no part in equality or hashing.
     ``_ints`` is ``dist`` scaled to integers by ``_scale``, the least common
     denominator of its entries; the axioms are checked on it, and so are
-    map shortness, functional shortness and the transport costs. A space
-    built from ints keeps only them and makes ``dist`` on first read. Both
-    construction paths reduce ``_ints`` and ``_scale`` by their gcd, so that
-    form is canonical, and equality and hashing read it instead of the
-    ``Fraction`` table. The hash is computed on first use and kept.
+    map shortness, functional shortness and the transport costs. That form
+    is reduced by its gcd, so it is canonical, and equality and hashing read
+    it. The hash is computed on first use and kept.
     """
 
     points: tuple
@@ -95,17 +96,16 @@ class FinMetricSpace:
             raise ValueError("a metric space needs at least one point")
         if len(self._index) != n:
             raise ValueError("point labels must be pairwise distinct")
+        given = self.__dict__.pop("dist")
         if _kernel is None:
-            dist = tuple(tuple(map(_as_fraction, row)) for row in self.dist)
-            object.__setattr__(self, "dist", dist)
+            dist = tuple(tuple(map(_as_fraction, row)) for row in given)
+            # the least common denominator leaves the ints with gcd 1
             scale = lcm(*{x.denominator for row in dist for x in row})
-            ints = tuple(
-                tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist
+            _kernel = (
+                tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist),
+                scale,
             )
-        else:
-            # built by _from_ints: dist is made from the ints on first read
-            del self.__dict__["dist"]
-            ints, scale = _kernel
+        ints, scale = _kernel
         if len(ints) != n or any(len(row) != n for row in ints):
             raise ValueError(f"distance matrix must be {n}x{n}")
         object.__setattr__(self, "_ints", ints)
@@ -200,7 +200,8 @@ def _over(rows, scale: int) -> tuple:
 
 
 def _to_units(values) -> tuple:
-    """``(units, denom)``: the Fractions ``values`` over their least common denominator."""
+    """``(units, denom)``: ``values`` as Fractions over their least common denominator."""
+    values = tuple(map(_as_fraction, values))
     denom = lcm(*{x.denominator for x in values})
     return tuple(x.numerator * (denom // x.denominator) for x in values), denom
 
@@ -394,8 +395,7 @@ class ShortFunctional:
     ``values`` is aligned with ``domain.points``. The Lipschitz bound
     |f(a) - f(b)| <= d(a, b) is checked over all pairs on construction, on
     ``_units``: the values scaled to integers by ``_denom``, the least common
-    denominator of their entries. A functional built from ints keeps only
-    them and makes ``values`` on first read.
+    denominator of their entries.
     """
 
     domain: FinMetricSpace
@@ -405,14 +405,8 @@ class ShortFunctional:
     _denom: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, _kernel):
-        if _kernel is None:
-            values = tuple(map(_as_fraction, self.values))
-            object.__setattr__(self, "values", values)
-            units, denom = _to_units(values)
-        else:
-            # built by _from_units: values is made from the ints on first read
-            del self.__dict__["values"]
-            units, denom = _kernel
+        given = self.__dict__.pop("values")
+        units, denom = _to_units(given) if _kernel is None else _kernel
         if len(units) != len(self.domain):
             raise ValueError("functional must assign a value to every point")
         object.__setattr__(self, "_units", units)
@@ -442,7 +436,7 @@ class ShortFunctional:
         unknown = [p for p in mapping if p not in domain._index]
         if unknown:
             raise ValueError(f"values name unknown points: {unknown!r}")
-        return cls(domain, tuple(_as_fraction(mapping.get(p, 0)) for p in domain.points))
+        return cls(domain, tuple(mapping.get(p, 0) for p in domain.points))
 
     def __call__(self, point: Label) -> Fraction:
         return self.values[self.domain.index(point)]
@@ -495,10 +489,10 @@ def mcshane_closure(space: FinMetricSpace, values: Iterable) -> ShortFunctional:
     Replaces f by x -> min over y of (f(y) + d(x, y)). The result is always
     short and the operation fixes inputs that were already short.
     """
-    raw = [_as_fraction(v) for v in values]
-    if len(raw) != len(space):
+    units, denom = _to_units(values)
+    if len(units) != len(space):
         raise ValueError("need one value per point")
-    units, rows, scale = _common(space, *_to_units(raw))
+    units, rows, scale = _common(space, units, denom)
     return ShortFunctional._from_units(
         space, [min(map(add, row, units)) for row in rows], scale
     )

@@ -8,7 +8,7 @@ from math import lcm
 from typing import Sequence
 
 from .measure import Measure, dirac, pushforward
-from .metric import FinMetricSpace, ShortMap, _as_fraction, _to_units
+from .metric import FinMetricSpace, ShortMap, _OnFirstRead, _over, _to_units
 from .transport import wasserstein_distance
 
 
@@ -25,29 +25,27 @@ class NestedMeasure:
 
     base: FinMetricSpace
     inner: tuple
-    weights: tuple
+    weights: tuple = _OnFirstRead(lambda mu: _over((mu._units,), mu._denom)[0])
     _units: tuple = field(init=False, compare=False, repr=False)
     _denom: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         inner = tuple(self.inner)
-        weights = tuple(_as_fraction(w) for w in self.weights)
+        units, denom = _to_units(self.__dict__.pop("weights"))
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_denom", denom)
         if not inner:
             raise ValueError("a nested measure needs at least one inner measure")
-        if len(inner) != len(weights):
+        if len(inner) != len(units):
             raise ValueError("need exactly one weight per inner measure")
         for m in inner:
             if m.space != self.base:
                 raise ValueError("all inner measures must live on the base space")
-        units, denom = _to_units(weights)
         if min(units) < 0:
-            raise ValueError(f"negative weight {next(w for w in weights if w < 0)}")
+            raise ValueError(f"negative weight {next(w for w in self.weights if w < 0)}")
         if sum(units) != denom:
             raise ValueError("outer weights must sum to exactly 1")
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(self, "_denom", denom)
 
 
 def expectation(mu: NestedMeasure) -> Measure:

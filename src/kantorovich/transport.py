@@ -38,8 +38,6 @@ are checked exactly on every call: the coupling's marginals and cost by
 ``TransportPlan`` (on its nonzero cells as ints), the shortness of the
 witness by the construction of its ``ShortFunctional`` (on ints, over every
 pair), and the equality of primal and dual costs on the exact integrals.
-The plan and the witness keep their ints; their dense ``Fraction`` tables
-are made on first read.
 
 The brute-force oracle shares no code with the solver: it enumerates the
 spanning trees of the support graph depth first and scales masses and
@@ -56,16 +54,16 @@ from math import isqrt, lcm
 from operator import add, sub
 
 from .measure import Measure, integrate
-from .metric import ShortFunctional, _as_fraction, _OnFirstRead, zero_functional
+from .metric import ShortFunctional, _as_fraction, _OnFirstRead, _over, zero_functional
 
 
 def _dense(plan) -> tuple:
     """The plan's coupling matrix, zero off its nonzero cells."""
     n = len(plan.source.space)
-    grid = [[Fraction(0)] * n for _ in range(n)]
+    grid = [[0] * n for _ in range(n)]
     for i, j, x in plan._cells:
-        grid[i][j] = Fraction(x, plan._scale)
-    return tuple(map(tuple, grid))
+        grid[i][j] = x
+    return _over(grid, plan._scale)
 
 
 @dataclass(frozen=True)
@@ -81,10 +79,10 @@ class TransportPlan:
     ``_units`` and the space's ``_ints``. The public constructor takes the
     cells from the dense ``coupling``; :func:`wasserstein` passes
     ``(cells, scale)`` as the private ``_kernel`` instead, with ``coupling``
-    None, and ``coupling`` is then made on first read. Either way the check
-    stays independent of the solver: it reads only the plan's cells and
-    cost, the two measures and the space, never the solver's flows, so a
-    coupling that a solver got wrong is rejected however it was built.
+    None. Either way the check stays independent of the solver: it reads
+    only the plan's cells and cost, the two measures and the space, never
+    the solver's flows, so a coupling that a solver got wrong is rejected
+    however it was built.
     """
 
     source: Measure
@@ -96,12 +94,7 @@ class TransportPlan:
     _scale: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, _kernel):
-        if _kernel is None:
-            coupling = tuple(tuple(map(_as_fraction, row)) for row in self.coupling)
-            object.__setattr__(self, "coupling", coupling)
-        else:
-            # handed its cells as ints: coupling is made from them on first read
-            del self.__dict__["coupling"]
+        given = self.__dict__.pop("coupling")
         object.__setattr__(self, "cost", _as_fraction(self.cost))
         source, target = self.source, self.target
         space = source.space
@@ -109,14 +102,15 @@ class TransportPlan:
             raise ValueError("coupling endpoints live on different spaces")
         n = len(space)
         if _kernel is None:
+            coupling = tuple(tuple(map(_as_fraction, row)) for row in given)
             if len(coupling) != n or any(len(row) != n for row in coupling):
                 raise ValueError(f"coupling must be {n}x{n}")
             # zero cells add nothing to a sum, so every check reads the others only
             cells = [(i, j, x) for i, row in enumerate(coupling) for j, x in enumerate(row) if x]
             scale = lcm(*{x.denominator for _, _, x in cells})
             cells = tuple((i, j, x.numerator * (scale // x.denominator)) for i, j, x in cells)
-        else:
-            cells, scale = _kernel
+            _kernel = cells, scale
+        cells, scale = _kernel
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_scale", scale)
         if any(x < 0 for _, _, x in cells):

@@ -71,6 +71,14 @@ WORKSPACE = {
 }
 
 
+def _discrete(n):
+    """The n-point space with every distance 1, in workspace JSON."""
+    return {
+        "points": [f"x{i}" for i in range(n)],
+        "dist": [["0" if i == j else "1" for j in range(n)] for i in range(n)],
+    }
+
+
 @pytest.fixture
 def ws_file(tmp_path):
     path = tmp_path / "workspace.json"
@@ -171,13 +179,7 @@ class TestValidateCommand:
         assert f"limit of {jsonio.MAX_POINTS} points" in err and "MAX_POINTS" in err
 
     def test_tensor_over_the_size_limit(self, tmp_path, capsys):
-        def discrete(n):
-            return {
-                "points": [f"x{i}" for i in range(n)],
-                "dist": [["0" if i == j else "1" for j in range(n)] for i in range(n)],
-            }
-
-        spaces = {"A": discrete(12), "B": discrete(11), "AB": {"tensor": ["A", "B"]}}
+        spaces = {"A": _discrete(12), "B": _discrete(11), "AB": {"tensor": ["A", "B"]}}
         path = tmp_path / "tensor.json"
         path.write_text(json.dumps({"spaces": spaces}))
         assert main(["validate", "--workspace", str(path)]) == 2
@@ -249,6 +251,36 @@ class TestProductCommand:
         assert main(["product", "point", "zero", "--workspace", ws_file]) == 0
         out = capsys.readouterr().out
         assert '["a","0"]: 1/1' in out
+
+
+@pytest.fixture
+def twelve_points(tmp_path):
+    """A 12-point space with its uniform measure and identity map: joints of 144 points."""
+    points = [f"x{i}" for i in range(12)]
+    path = tmp_path / "twelve.json"
+    path.write_text(
+        json.dumps(
+            {
+                "spaces": {"D": _discrete(12)},
+                "measures": {"u": {"space": "D", "weights": dict.fromkeys(points, "1/12")}},
+                "maps": {"id": {"domain": "D", "codomain": "D", "table": {x: x for x in points}}},
+            }
+        )
+    )
+    return str(path)
+
+
+class TestJointSizeLimit:
+    """Joints are held to jsonio.MAX_POINTS before they are built, like parsed tensors."""
+
+    @pytest.mark.parametrize(
+        "command", [["product", "u", "u"], ["independent-maps", "u", "id", "id"]]
+    )
+    def test_joint_over_the_size_limit(self, twelve_points, capsys, command):
+        assert main(command + ["--workspace", twelve_points]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "space of 144 points" in captured.err and "MAX_POINTS" in captured.err
 
 
 class TestMarginalsCommand:

@@ -259,26 +259,37 @@ def _fractions_only(table) -> bool:
     return all(type(x) is Fraction for x in table)
 
 
-# objects built from ints make their Fraction tables on first read; these
-# hold each such table to _over on the ints, and to a Fraction loop
+# every object makes its Fraction table on first read; these hold each such
+# table to _over on the ints, and to a Fraction loop
 class TestFirstRead:
     def test_no_table_until_read(self):
         # labels no other test uses, so the tensor cache hands back a fresh space
         x = FinMetricSpace(("first-read-a", "first-read-b"), ((0, 1), (1, 0)))
         y = FinMetricSpace(("first-read-c",), ((0,),))
-        p, q = Measure(x, (Fraction(1, 3), Fraction(2, 3))), Measure(y, (1,))
-        joint = product(p, q)
+        thirds = (Fraction(1, 3), Fraction(2, 3))
+        p, q = Measure(x, thirds), Measure(y, (1,))
         f = ShortFunctional(x, (0, 1))
-        made = {
-            "dist": joint.space,
-            "weights": joint,
-            "values": sum_functional(f, ShortFunctional(y, (0,))),
-            "coupling": wasserstein(joint, joint)[1],
-        }
-        for name, obj in made.items():
-            assert name not in vars(obj), name
+        joint = product(p, q)
+        diagonal = ((thirds[0], 0), (0, thirds[1]))
+        # (object, its table, the entries it was given or computed from), first
+        # from each public constructor, then from ints
+        cases = [
+            (x, "dist", ((0, 1), (1, 0))),
+            (p, "weights", thirds),
+            (f, "values", (0, 1)),
+            (NestedMeasure(x, (p, p), ("1/4", 0.75)), "weights", (Fraction(1, 4), Fraction(3, 4))),
+            (TransportPlan(p, p, diagonal, 0), "coupling", diagonal),
+            (joint.space, "dist", ((0, 1), (1, 0))),
+            (joint, "weights", thirds),
+            (sum_functional(f, ShortFunctional(y, (0,))), "values", (0, 1)),
+            (wasserstein(p, p)[1], "coupling", diagonal),
+        ]
+        for obj, name, entries in cases:
+            assert name not in vars(obj), (type(obj).__name__, name)
             table = getattr(obj, name)
             assert vars(obj)[name] is table is getattr(obj, name), name
+            flat = [x for row in table for x in row] if name in ("dist", "coupling") else table
+            assert table == entries and _fractions_only(flat), (type(obj).__name__, name)
 
     @given(st.data())
     @settings(max_examples=50)

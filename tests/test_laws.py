@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -67,6 +68,35 @@ def test_schema_version_and_shape():
     assert set(payload["laws"]) == {"kantorovich_duality"}
     entry = payload["laws"]["kantorovich_duality"]
     assert {"statement", "cases_run", "failures", "status", "first_counterexample"} <= set(entry)
+
+
+def test_a_case_that_raises_is_a_failure_and_the_run_goes_on(monkeypatch):
+    left, right = CATALOG["monad_left_unit"], CATALOG["monad_right_unit"]
+    instance = jsonio.instance_to_json(left.generate(_law_rng(1, left.id), DEFAULT_BUDGET))
+
+    def check(**fields):
+        raise ValueError("weights sum to 0")
+
+    def generate(rng, budget):
+        raise RuntimeError("no instance")
+
+    monkeypatch.setitem(CATALOG, left.id, replace(left, check=check))
+    monkeypatch.setitem(CATALOG, right.id, replace(right, generate=generate))
+    report = run_suite(seed=1, cases=2)
+    entries = report.entries
+    assert [entries[i]["failures"] for i in (left.id, right.id)] == [2, 2]
+    assert entries[left.id]["first_counterexample"] == {
+        "instance": instance,
+        "error": "ValueError: weights sum to 0",
+    }
+    assert entries[right.id]["first_counterexample"] == {
+        "instance": None,
+        "error": "RuntimeError: no instance",
+    }
+    others = [e for law_id, e in entries.items() if law_id not in (left.id, right.id)]
+    assert len(others) == len(CATALOG) - 2
+    assert all(e["status"] != "fail" for e in others)
+    jsonio.dumps(report.to_json())
 
 
 def test_check_law_replays_serialized_instances():

@@ -30,6 +30,7 @@ from kantorovich import (
     unitor_right,
 )
 from kantorovich.generate import random_short_map, random_space
+from kantorovich.metric import _first_long_pair
 
 from strategies import functionals_on, metric_spaces
 
@@ -186,6 +187,16 @@ class TestShortMaps:
         f = random_short_map(rng, two_point, three_point)
         assert compose(identity(two_point), f) == f
         assert compose(f, identity(three_point)) == f
+
+    def test_rejected_draws_build_no_dist_table(self):
+        rng = random.Random(0)
+        x, y = random_space(rng, 4, 4, "x"), random_space(rng, 4, 4, "y")
+        replay = random.Random()
+        replay.setstate(rng.getstate())
+        first = tuple(replay.choice(y.points) for _ in x.points)
+        assert _first_long_pair(x, y, first) is not None  # the first draw is rejected
+        random_short_map(rng, x, y)
+        assert "dist" not in vars(x) and "dist" not in vars(y)
 
     def test_compose_domain_mismatch(self, two_point, three_point):
         f = identity(two_point)

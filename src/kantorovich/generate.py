@@ -114,7 +114,7 @@ def random_nested(
     k = rng.randint(1, max_inner)
     inner = tuple(random_measure(rng, space, max_numerator) for _ in range(k))
     raw, total = _numerators(rng, k, max_numerator)
-    return NestedMeasure(space, inner, tuple(Fraction(x, total) for x in raw))
+    return NestedMeasure._from_units(space, inner, raw, total)
 
 
 def random_double_nested(

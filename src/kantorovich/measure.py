@@ -19,6 +19,7 @@ from .metric import (
     Label,
     ShortFunctional,
     ShortMap,
+    _Exact,
     _OnFirstRead,
     _over,
     _reduced,
@@ -26,8 +27,8 @@ from .metric import (
 )
 
 
-@dataclass(frozen=True)
-class Measure:
+@dataclass(frozen=True, eq=False)
+class Measure(_Exact):
     """A probability measure on a finite metric space.
 
     Weights are stored densely against the full point list of the space
@@ -62,22 +63,10 @@ class Measure:
     @classmethod
     def _from_units(cls, space: FinMetricSpace, units, denom: int) -> "Measure":
         """The measure with weights ``units[i] / denom``, checked like any other."""
-        units, denom = _reduced(units, denom)
-        return cls(space, None, (units, denom))
+        return cls(space, None, _reduced(units, denom))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self._denom == other._denom
-            and self._units == other._units
-            and self.space == other.space
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self._denom, self._units))
+    def _key(self):
+        return self._denom, self._units, self.space
 
     @classmethod
     def from_mapping(
@@ -121,8 +110,15 @@ def pushforward(f: ShortMap, p: Measure) -> Measure:
     return _image(f.codomain, f.table, p)
 
 
-def _image(codomain: FinMetricSpace, table, p: Measure) -> Measure:
-    """The measure on ``codomain`` that sends the mass of p at each point to its target."""
+def _image(codomain: FinMetricSpace, table, p) -> Measure:
+    """The measure on ``codomain`` that sends the mass of p at each point to its target.
+
+    Reads only ``p._units`` and ``p._denom``, so p is a :class:`Measure`
+    for :func:`pushforward` and :func:`~kantorovich.structure.independent_maps`,
+    and a nested measure for :func:`~kantorovich.monad.nested_distance`,
+    whose weights are a measure on its list of inner measures; repeated
+    targets add up.
+    """
     out = [0] * len(codomain)
     index = codomain.index
     for target, w in zip(table, p._units):

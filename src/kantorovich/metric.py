@@ -3,16 +3,19 @@
 All distances and functional values are exact rationals, and every
 invariant (metric axioms, shortness) is checked exhaustively at construction
 time. Every exact object of the package (space, functional, measure, nested
-measure, transport plan) stores one form of its numbers: ints over one
-common denominator. The public constructors turn the table they are given
-into that form and keep nothing else; objects computed from other objects
-(tensors, generated spaces, joints, closures) hand their ints to
-construction directly. Either way the checks run on those ints: the triangle
-inequality is tested on every triple, and the Lipschitz bound on every pair,
-one C-level pass per point or pair. The public ``Fraction`` table (``dist``,
-``values``, ``weights``, ``coupling``) is made on first read, one
-``Fraction`` per distinct value, and kept. Values are immutable after
-construction; every operation is a pure function.
+measure, transport plan) follows one rule. It stores one form of its
+numbers: ints over one common denominator, reduced, so that equal values
+have equal ints. It is built from that form: the public constructors check
+the shape of what they are given, turn it into ints with ``_to_units`` and
+keep nothing else, and objects computed from other objects (tensors,
+generated spaces, joints, closures, nested measures) hand their ints,
+reduced by ``_reduced``, to construction directly. Its checks, its equality
+and its hash read those ints: the triangle inequality is tested on every
+triple, and the Lipschitz bound on every pair, one C-level pass per point or
+pair. The public ``Fraction`` table (``dist``, ``values``, ``weights``,
+``coupling``) is made on first read, one ``Fraction`` per distinct value,
+and kept. Values are immutable after construction; every operation is a
+pure function.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ def _as_fraction(x) -> Fraction:
 
 
 class _OnFirstRead:
-    """A public table that every instance makes from its ints on first read.
+    """A value that every instance makes from its ints on first read.
 
-    A non-data descriptor. Every construction pops the table it was given
-    (``None`` from a kernel construction) off the instance and keeps only
-    its ints; the first read computes ``make(instance)`` and stores it on the
-    instance, which then shadows this. Reading it on the class raises
-    AttributeError, so the field gets no default.
+    A non-data descriptor, for the public tables and the hash. Every
+    construction pops the table it was given (``None`` from a kernel
+    construction) off the instance and keeps only its ints; the first read
+    computes ``make(instance)`` and stores it on the instance, which then
+    shadows this. Reading it on the class raises AttributeError, so a field
+    gets no default.
     """
 
     def __init__(self, make):
@@ -59,8 +63,30 @@ class _OnFirstRead:
         return value
 
 
-@dataclass(frozen=True)
-class FinMetricSpace:
+class _Exact:
+    """Equality and hashing of an exact object, on the key its class gives.
+
+    Each exact type is a frozen dataclass with ``eq=False`` over this base,
+    and its ``_key`` holds its stored ints and the objects it lives on,
+    never a ``Fraction`` table. The ints are reduced, so equal objects have
+    equal keys. The hash is computed on first use and kept.
+    """
+
+    _hash = _OnFirstRead(lambda obj: hash(obj._key()))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@dataclass(frozen=True, eq=False)
+class FinMetricSpace(_Exact):
     """A finite metric space: ordered point labels and an exact distance matrix.
 
     Construction validates the full set of metric axioms: zero diagonal,
@@ -74,7 +100,7 @@ class FinMetricSpace:
     denominator of its entries; the axioms are checked on it, and so are
     map shortness, functional shortness and the transport costs. That form
     is reduced by its gcd, so it is canonical, and equality and hashing read
-    it. The hash is computed on first use and kept.
+    it.
     """
 
     points: tuple
@@ -84,13 +110,11 @@ class FinMetricSpace:
     _index: dict = field(init=False, compare=False, repr=False)
     _ints: tuple = field(init=False, compare=False, repr=False)
     _scale: int = field(init=False, compare=False, repr=False)
-    _hash: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, _kernel):
         points = tuple(self.points)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
-        object.__setattr__(self, "_hash", None)
         n = len(points)
         if n == 0:
             raise ValueError("a metric space needs at least one point")
@@ -98,45 +122,20 @@ class FinMetricSpace:
             raise ValueError("point labels must be pairwise distinct")
         given = self.__dict__.pop("dist")
         if _kernel is None:
-            dist = tuple(tuple(map(_as_fraction, row)) for row in given)
-            # the least common denominator leaves the ints with gcd 1
-            scale = lcm(*{x.denominator for row in dist for x in row})
-            _kernel = (
-                tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist),
-                scale,
-            )
-        ints, scale = _kernel
-        if len(ints) != n or any(len(row) != n for row in ints):
-            raise ValueError(f"distance matrix must be {n}x{n}")
-        object.__setattr__(self, "_ints", ints)
+            _kernel = _to_units(_flat(given, n, "distance matrix"))
+        units, scale = _kernel
+        object.__setattr__(self, "_ints", tuple(units[i : i + n] for i in range(0, n * n, n)))
         object.__setattr__(self, "_scale", scale)
         _check_axioms(self)
 
     @classmethod
     def _from_ints(cls, points, rows, scale: int, factors=None) -> "FinMetricSpace":
         """The space with distances ``rows[i][j] / scale``, checked like any other."""
-        g = gcd(scale, *chain.from_iterable(rows))
-        if g == 1:
-            ints = tuple(map(tuple, rows))
-        else:
-            ints, scale = tuple(tuple(x // g for x in row) for row in rows), scale // g
-        return cls(points, None, factors, (ints, scale))
+        units = tuple(_flat(rows, len(points), "distance matrix"))
+        return cls(points, None, factors, _reduced(units, scale))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self._scale == other._scale
-            and self._ints == other._ints
-            and self.points == other.points
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.points, self._scale, self._ints)))
-        return self._hash
+    def _key(self):
+        return self._scale, self._ints, self.points
 
     def __len__(self) -> int:
         return len(self.points)
@@ -199,8 +198,20 @@ def _over(rows, scale: int) -> tuple:
     return tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
 
 
+def _flat(matrix, n: int, name: str):
+    """The entries of the n x n ``matrix`` row by row; ValueError if it has another shape."""
+    rows = tuple(map(tuple, matrix))
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"{name} must be {n}x{n}")
+    return chain.from_iterable(rows)
+
+
 def _to_units(values) -> tuple:
-    """``(units, denom)``: ``values`` as Fractions over their least common denominator."""
+    """``(units, denom)``: ``values`` as Fractions over their least common denominator.
+
+    The least common denominator leaves the units with gcd 1, so this form
+    is already reduced.
+    """
     values = tuple(map(_as_fraction, values))
     denom = lcm(*{x.denominator for x in values})
     return tuple(x.numerator * (denom // x.denominator) for x in values), denom
@@ -216,7 +227,7 @@ def _reduced(units, denom: int):
 
 def terminal() -> FinMetricSpace:
     """The one-point space; the tensor unit and terminal object."""
-    return FinMetricSpace((TERMINAL_POINT,), ((Fraction(0),),))
+    return FinMetricSpace._from_ints((TERMINAL_POINT,), ((0,),), 1)
 
 
 def _shape(space: FinMetricSpace):
@@ -388,14 +399,14 @@ def middle_interchange(
     return ShortMap(dom, cod, tuple(((a, c), (b, d)) for (a, b), (c, d) in dom.points))
 
 
-@dataclass(frozen=True)
-class ShortFunctional:
+@dataclass(frozen=True, eq=False)
+class ShortFunctional(_Exact):
     """A 1-Lipschitz rational-valued function on a finite metric space.
 
     ``values`` is aligned with ``domain.points``. The Lipschitz bound
     |f(a) - f(b)| <= d(a, b) is checked over all pairs on construction, on
     ``_units``: the values scaled to integers by ``_denom``, the least common
-    denominator of their entries.
+    denominator of their entries. Equality and hashing read that form.
     """
 
     domain: FinMetricSpace
@@ -426,8 +437,10 @@ class ShortFunctional:
     @classmethod
     def _from_units(cls, domain: FinMetricSpace, units, denom: int) -> "ShortFunctional":
         """The functional with values ``units[i] / denom``, checked like any other."""
-        units, denom = _reduced(units, denom)
-        return cls(domain, None, (units, denom))
+        return cls(domain, None, _reduced(units, denom))
+
+    def _key(self):
+        return self._denom, self._units, self.domain
 
     @classmethod
     def from_mapping(

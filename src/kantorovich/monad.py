@@ -2,36 +2,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .measure import Measure, dirac, pushforward
-from .metric import FinMetricSpace, ShortMap, _OnFirstRead, _over, _to_units
+from .measure import Measure, _image, dirac, pushforward
+from .metric import FinMetricSpace, ShortMap, _Exact, _OnFirstRead, _over, _reduced, _to_units
 from .transport import wasserstein_distance
 
 
-@dataclass(frozen=True)
-class NestedMeasure:
+@dataclass(frozen=True, eq=False)
+class NestedMeasure(_Exact):
     """A finitely-supported measure over measures on a common base space.
 
     The outer distribution is stored extensionally: an ordered list of inner
     measures and one exact weight each. Duplicate inner measures are allowed
     here and merged only where distinct points are required (see
     :func:`wasserstein_space`). ``_units`` is ``weights`` scaled to integers
-    by ``_denom``, their least common denominator, as for :class:`Measure`.
+    by ``_denom``, their least common denominator, and built, compared and
+    hashed as for :class:`Measure`.
     """
 
     base: FinMetricSpace
     inner: tuple
     weights: tuple = _OnFirstRead(lambda mu: _over((mu._units,), mu._denom)[0])
+    _kernel: InitVar[tuple | None] = None
     _units: tuple = field(init=False, compare=False, repr=False)
     _denom: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _kernel):
         inner = tuple(self.inner)
-        units, denom = _to_units(self.__dict__.pop("weights"))
+        given = self.__dict__.pop("weights")
+        units, denom = _to_units(given) if _kernel is None else _kernel
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "_units", units)
         object.__setattr__(self, "_denom", denom)
@@ -43,9 +46,17 @@ class NestedMeasure:
             if m.space != self.base:
                 raise ValueError("all inner measures must live on the base space")
         if min(units) < 0:
-            raise ValueError(f"negative weight {next(w for w in self.weights if w < 0)}")
+            raise ValueError(f"negative weight {Fraction(next(x for x in units if x < 0), denom)}")
         if sum(units) != denom:
             raise ValueError("outer weights must sum to exactly 1")
+
+    @classmethod
+    def _from_units(cls, base: FinMetricSpace, inner, units, denom: int) -> "NestedMeasure":
+        """The nested measure with weights ``units[i] / denom``, checked like any other."""
+        return cls(base, inner, None, _reduced(units, denom))
+
+    def _key(self):
+        return self._denom, self._units, self.inner, self.base
 
 
 def expectation(mu: NestedMeasure) -> Measure:
@@ -61,7 +72,7 @@ def expectation(mu: NestedMeasure) -> Measure:
 
 def unit_nested(p: Measure) -> NestedMeasure:
     """All outer mass on the single inner measure p."""
-    return NestedMeasure(p.space, (p,), (Fraction(1),))
+    return NestedMeasure._from_units(p.space, (p,), (1,), 1)
 
 
 def diracs_nested(p: Measure) -> NestedMeasure:
@@ -70,8 +81,8 @@ def diracs_nested(p: Measure) -> NestedMeasure:
     Inner measures are the Diracs of the base points, weighted by p, so
     averaging recovers p.
     """
-    return NestedMeasure(
-        p.space, tuple(dirac(p.space, x) for x in p.space.points), p.weights
+    return NestedMeasure._from_units(
+        p.space, tuple(dirac(p.space, x) for x in p.space.points), p._units, p._denom
     )
 
 
@@ -79,17 +90,17 @@ def pushforward_nested(f: ShortMap, mu: NestedMeasure) -> NestedMeasure:
     """Apply the pushforward along f to every inner measure."""
     if f.domain != mu.base:
         raise ValueError("map domain must be the base space")
-    return NestedMeasure(
-        f.codomain, tuple(pushforward(f, m) for m in mu.inner), mu.weights
+    return NestedMeasure._from_units(
+        f.codomain, tuple(pushforward(f, m) for m in mu.inner), mu._units, mu._denom
     )
 
 
 def merge_duplicates(mu: NestedMeasure) -> NestedMeasure:
     """Sum the weights of repeated inner measures, keeping first-seen order."""
     merged = {}
-    for m, w in zip(mu.inner, mu.weights):
+    for m, w in zip(mu.inner, mu._units):
         merged[m] = merged.get(m, 0) + w
-    return NestedMeasure(mu.base, tuple(merged), tuple(merged.values()))
+    return NestedMeasure._from_units(mu.base, tuple(merged), tuple(merged.values()), mu._denom)
 
 
 def wasserstein_space(measures: Sequence[Measure]) -> FinMetricSpace:
@@ -119,17 +130,11 @@ def wasserstein_space(measures: Sequence[Measure]) -> FinMetricSpace:
 def nested_distance(mu: NestedMeasure, nu: NestedMeasure) -> Fraction:
     """Wasserstein-1 between two nested measures, one level up.
 
-    Builds the Wasserstein space on the union of the inner supports (after
-    merging duplicates) and solves the outer transport problem there.
+    Builds the Wasserstein space on the union of the inner supports and
+    solves the outer transport problem there, between the images of the
+    outer weights, in which repeated inner measures add up.
     """
     if mu.base != nu.base:
         raise ValueError("nested measures live on different base spaces")
-    mu = merge_duplicates(mu)
-    nu = merge_duplicates(nu)
     space = wasserstein_space(dict.fromkeys(mu.inner + nu.inner))
-
-    def as_point_measure(nested):
-        return Measure.from_mapping(space, dict(zip(nested.inner, nested.weights)))
-
-    return wasserstein_distance(as_point_measure(mu), as_point_measure(nu))
-
+    return wasserstein_distance(_image(space, mu.inner, mu), _image(space, nu.inner, nu))

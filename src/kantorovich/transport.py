@@ -54,7 +54,17 @@ from math import isqrt, lcm
 from operator import add, sub
 
 from .measure import Measure, integrate
-from .metric import ShortFunctional, _as_fraction, _OnFirstRead, _over, zero_functional
+from .metric import (
+    ShortFunctional,
+    _as_fraction,
+    _Exact,
+    _flat,
+    _OnFirstRead,
+    _over,
+    _reduced,
+    _to_units,
+    zero_functional,
+)
 
 
 def _dense(plan) -> tuple:
@@ -66,8 +76,8 @@ def _dense(plan) -> tuple:
     return _over(grid, plan._scale)
 
 
-@dataclass(frozen=True)
-class TransportPlan:
+@dataclass(frozen=True, eq=False)
+class TransportPlan(_Exact):
     """A coupling certifying a transport cost between two measures.
 
     Rows are indexed by source points and columns by target points of the
@@ -79,10 +89,12 @@ class TransportPlan:
     ``_units`` and the space's ``_ints``. The public constructor takes the
     cells from the dense ``coupling``; :func:`wasserstein` passes
     ``(cells, scale)`` as the private ``_kernel`` instead, with ``coupling``
-    None. Either way the check stays independent of the solver: it reads
-    only the plan's cells and cost, the two measures and the space, never
-    the solver's flows, so a coupling that a solver got wrong is rejected
-    however it was built.
+    None. Either way the cells are sorted row-major and reduced by their
+    gcd with the scale, so equal couplings have equal cells, and equality
+    and hashing read them (the checked cost follows from them). The check
+    stays independent of the solver: it reads only the plan's cells and
+    cost, the two measures and the space, never the solver's flows, so a
+    coupling that a solver got wrong is rejected however it was built.
     """
 
     source: Measure
@@ -102,15 +114,14 @@ class TransportPlan:
             raise ValueError("coupling endpoints live on different spaces")
         n = len(space)
         if _kernel is None:
-            coupling = tuple(tuple(map(_as_fraction, row)) for row in given)
-            if len(coupling) != n or any(len(row) != n for row in coupling):
-                raise ValueError(f"coupling must be {n}x{n}")
+            units, scale = _to_units(_flat(given, n, "coupling"))
             # zero cells add nothing to a sum, so every check reads the others only
-            cells = [(i, j, x) for i, row in enumerate(coupling) for j, x in enumerate(row) if x]
-            scale = lcm(*{x.denominator for _, _, x in cells})
-            cells = tuple((i, j, x.numerator * (scale // x.denominator)) for i, j, x in cells)
-            _kernel = cells, scale
+            _kernel = [(k // n, k % n, x) for k, x in enumerate(units) if x], scale
         cells, scale = _kernel
+        # row-major cells over their least denominator: one form per coupling
+        cells = sorted(cells)
+        units, scale = _reduced([x for _, _, x in cells], scale)
+        cells = tuple((i, j, x) for (i, j, _), x in zip(cells, units))
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_scale", scale)
         if any(x < 0 for _, _, x in cells):
@@ -136,6 +147,9 @@ class TransportPlan:
                 f"stated cost {self.cost} differs from actual "
                 f"{Fraction(total, scale * space._scale)}"
             )
+
+    def _key(self):
+        return self._scale, self._cells, self.source, self.target
 
 
 @dataclass(frozen=True)

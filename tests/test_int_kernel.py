@@ -5,6 +5,7 @@ test itself and compares it with what the package computes on ints.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import hypothesis.strategies as st
@@ -16,15 +17,21 @@ from kantorovich import (
     Measure,
     NestedMeasure,
     ShortFunctional,
+    ShortMap,
     TransportPlan,
+    diracs_nested,
     expectation,
     integrate,
     marginals,
+    merge_duplicates,
+    nested_distance,
     partial_integral,
     product,
     pushforward,
+    pushforward_nested,
     sum_functional,
     tensor,
+    unit_nested,
     wasserstein,
 )
 from kantorovich.generate import random_short_map
@@ -291,6 +298,37 @@ class TestFirstRead:
             flat = [x for row in table for x in row] if name in ("dist", "coupling") else table
             assert table == entries and _fractions_only(flat), (type(obj).__name__, name)
 
+        # equal objects of each type built from ints, at different scales and,
+        # for the plans, with their cells in another order
+        points = ("first-read-d", "first-read-e")
+        u = FinMetricSpace._from_ints(points, ((0, 2), (2, 0)), 3)
+        v = FinMetricSpace._from_ints(points, ((0, 4), (4, 0)), 6)
+        pu, pv = Measure._from_units(u, (1, 2), 3), Measure._from_units(v, (2, 4), 6)
+        pairs = [
+            (u, v),
+            (pu, pv),
+            (ShortFunctional._from_units(u, (0, 1), 3), ShortFunctional._from_units(v, (0, 2), 6)),
+            (diracs_nested(pu), diracs_nested(pv)),
+            (
+                TransportPlan(pu, pu, None, 0, (((0, 0, 1), (1, 1, 2)), 3)),
+                TransportPlan(pv, pv, None, 0, (((1, 1, 4), (0, 0, 2)), 6)),
+            ),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), type(a).__name__
+        mu, nu = pairs[3]
+        flip = ShortMap(u, u, points[::-1])
+        made = [
+            unit_nested(pu),
+            pushforward_nested(flip, mu),
+            merge_duplicates(mu),
+        ]
+        assert nested_distance(mu, nu) == 0
+        objects = [*chain.from_iterable(pairs), *mu.inner, *nu.inner, *made]
+        for obj in objects:
+            tables = {"dist", "weights", "values", "coupling"} & set(vars(obj))
+            assert not tables, (type(obj).__name__, tables)
+
     @given(st.data())
     @settings(max_examples=50)
     def test_tensor_dist(self, data):
@@ -389,3 +427,111 @@ class TestPlanCells:
         if expected is None:
             plan = TransportPlan(p, q, None, cost, (cells, scale))
             assert plan.coupling == coupling
+
+
+_EQ_POINTS = ("eq-a", "eq-b")
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
+
+
+@st.composite
+def _either_path(draw, cls, head, entries):
+    """``cls(*head, entries)`` by its public constructor, or from ints over
+    the least common denominator times 1 to 3, so often not reduced."""
+    if draw(st.booleans()):
+        return cls(*head, entries)
+    entries = tuple(map(Fraction, entries))
+    denom = lcm(*(x.denominator for x in entries)) * draw(st.integers(min_value=1, max_value=3))
+    return cls._from_units(*head, [int(x * denom) for x in entries], denom)
+
+
+@st.composite
+def _eq_spaces(draw):
+    """{eq-a, eq-b} at distance 1 or 3/2, by either path."""
+    d = draw(st.sampled_from((Fraction(1), Fraction(3, 2))))
+    if draw(st.booleans()):
+        return FinMetricSpace(_EQ_POINTS, ((0, d), (d, 0)))
+    scale = 2 * draw(st.integers(min_value=1, max_value=3))
+    return FinMetricSpace._from_ints(_EQ_POINTS, ((0, int(d * scale)), (int(d * scale), 0)), scale)
+
+
+_EQ_WEIGHTS = ((1, 0), (_HALF, _HALF), (_QUARTER, 3 * _QUARTER))
+
+
+@st.composite
+def _eq_functionals(draw):
+    values = draw(st.sampled_from(((0, 0), (0, 1), (_HALF, 0))))
+    return draw(_either_path(ShortFunctional, (draw(_eq_spaces()),), values))
+
+
+@st.composite
+def _eq_nested(draw):
+    space = draw(_eq_spaces())
+    weights = draw(st.sampled_from(((1,), (_HALF, _HALF), (_QUARTER, 3 * _QUARTER))))
+    inner = tuple(
+        draw(_either_path(Measure, (space,), draw(st.sampled_from(_EQ_WEIGHTS))))
+        for _ in weights
+    )
+    return draw(_either_path(NestedMeasure, (space, inner), weights))
+
+
+_COUPLINGS = (
+    ((_HALF, 0), (0, _HALF)),
+    ((0, _HALF), (_HALF, 0)),
+    ((_QUARTER, _QUARTER), (_QUARTER, _QUARTER)),
+    ((_QUARTER, 3 * _QUARTER), (0, 0)),
+)
+
+
+@st.composite
+def _eq_plans(draw):
+    """A plan from the pool by its public constructor, or from its cells
+    column by column at a scale 1 to 3 times too large."""
+    space = draw(_eq_spaces())
+    coupling = draw(st.sampled_from(_COUPLINGS))
+    p = draw(_either_path(Measure, (space,), tuple(map(sum, coupling))))
+    q = draw(_either_path(Measure, (space,), tuple(map(sum, zip(*coupling)))))
+    cost = (coupling[0][1] + coupling[1][0]) * space.dist[0][1]
+    if draw(st.booleans()):
+        return TransportPlan(p, q, coupling, cost)
+    scale = 4 * draw(st.integers(min_value=1, max_value=3))
+    cells = tuple(
+        (i, j, int(coupling[i][j] * scale)) for j in range(2) for i in range(2) if coupling[i][j]
+    )
+    return TransportPlan(p, q, None, cost, (cells, scale))
+
+
+def _public(obj):
+    """An exact object as its public tables, with every exact object in them
+    replaced by its own: what its equality must agree with."""
+    if isinstance(obj, FinMetricSpace):
+        return obj.points, obj.dist
+    if isinstance(obj, Measure):
+        return _public(obj.space), obj.weights
+    if isinstance(obj, ShortFunctional):
+        return _public(obj.domain), obj.values
+    if isinstance(obj, NestedMeasure):
+        return _public(obj.base), tuple(map(_public, obj.inner)), obj.weights
+    return _public(obj.source), _public(obj.target), obj.coupling, obj.cost
+
+
+# every exact type compares and hashes its canonical ints; these hold that
+# to the public tables, as test_metric does for spaces
+class TestEquality:
+    @pytest.mark.parametrize("objects", [_eq_functionals, _eq_nested, _eq_plans])
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_equality_reads_the_canonical_ints(self, objects, data):
+        a, b = data.draw(objects()), data.draw(objects())
+        assert (a == b) == (_public(a) == _public(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_plan_from_column_major_cells_equals_its_public_twin(self):
+        space = FinMetricSpace(_EQ_POINTS, ((0, 1), (1, 0)))
+        p, q = Measure(space, (_QUARTER, 3 * _QUARTER)), Measure(space, (_HALF, _HALF))
+        twin = TransportPlan(p, q, ((_QUARTER, 0), (_QUARTER, _HALF)), _QUARTER)
+        # the same coupling column by column over 12, as the solver hands it over
+        plan = TransportPlan(p, q, None, _QUARTER, (((0, 0, 3), (1, 0, 3), (1, 1, 6)), 12))
+        assert plan == twin and hash(plan) == hash(twin)
+        assert plan._cells == twin._cells == ((0, 0, 1), (1, 0, 1), (1, 1, 2))
+        assert plan._scale == twin._scale == 4

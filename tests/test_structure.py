@@ -32,6 +32,7 @@ from kantorovich import (
     tupling_table,
     uniform,
     unitor_right,
+    wasserstein_distance,
 )
 from kantorovich.generate import cyclic_monoid, min_monoid, random_measure
 
@@ -51,6 +52,29 @@ class TestProduct:
         p = random_measure(rng, three_point)
         lifted = product(p, dirac(terminal(), "*"))
         assert pushforward(unitor_right(three_point), lifted) == p
+
+    def test_joint_is_short_for_the_sum_metric_and_not_for_the_max(self, bit_space):
+        """The monad is bimonoidal for the l1 tensor, not the cartesian product.
+
+        With p = (d0 + d1)/2 and p' = d0 on {0, 1} at distance 1, W1(p, p') is
+        1/2. On the tensor, W1(p x p, p' x p') = 1, the sum of the two. With
+        the max metric on the same four points (the cartesian product in Met),
+        W1(p x p, p' x p') = E max = 3/4 > 1/2 = max(W1(p, p'), W1(p, p')),
+        so there the joint map is not short.
+        """
+        p, p_ = uniform(bit_space), dirac(bit_space, "0")
+        assert wasserstein_distance(p, p_) == Fraction(1, 2)
+        joint, joint_ = product(p, p), product(p_, p_)
+        assert wasserstein_distance(joint, joint_) == 1
+        square = joint.space.points
+        cartesian = FinMetricSpace(
+            square,
+            tuple(tuple(int(a != c or b != d) for c, d in square) for a, b in square),
+        )
+        at_max = wasserstein_distance(
+            Measure(cartesian, joint.weights), Measure(cartesian, joint_.weights)
+        )
+        assert at_max == Fraction(3, 4) > Fraction(1, 2)
 
 
 class TestMarginals:

@@ -54,13 +54,18 @@ class Workspace:
 
     def __init__(self):
         self._raw = {section: {} for section, _ in _KINDS.values()}
+        self._files = {}
         self._cache = {section: {} for section, _ in _KINDS.values()}
         self._visiting = set()
         self.counts = {}
 
     @classmethod
     def load(cls, paths) -> "Workspace":
-        """Merge the files and validate every named object before returning."""
+        """Merge the files and validate every named object before returning.
+
+        Input nested deeper than Python's recursion limit, in the JSON or in
+        an object's definition, is a ValueError naming its file.
+        """
         ws = cls()
         for path in paths or ():
             with open(path, "r", encoding="utf-8") as handle:
@@ -68,6 +73,8 @@ class Workspace:
                     data = json.load(handle)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}: invalid JSON: {exc}") from None
+                except RecursionError:
+                    raise ValueError(f"{path}: input nested too deeply") from None
             if not isinstance(data, dict):
                 raise ValueError(f"{path}: workspace must be a JSON object")
             unknown = set(data) - set(ws._raw)
@@ -82,6 +89,7 @@ class Workspace:
                             f"{path}: duplicate {section} name {name!r} across workspace files"
                         )
                     ws._raw[section][name] = obj
+                    ws._files[section, name] = path
         ws.counts = ws.validate_all()
         return ws
 
@@ -97,6 +105,8 @@ class Workspace:
         self._visiting.add(key)
         try:
             obj = decode(self._raw[section][name], self.resolve)
+        except RecursionError:
+            raise ValueError(f"{self._files[key]}: {kind} {name!r} nested too deeply") from None
         finally:
             self._visiting.discard(key)
         self._cache[section][name] = obj
@@ -217,12 +227,9 @@ def _cmd_laws(args):
     from .laws import run_suite
 
     if args.cases > MAX_CASES:
-        print(
-            f"error: --cases {args.cases} is over the limit of {MAX_CASES} "
-            "(kantorovich.cli.MAX_CASES)",
-            file=sys.stderr,
+        raise ValueError(
+            f"--cases {args.cases} is over the limit of {MAX_CASES} (kantorovich.cli.MAX_CASES)"
         )
-        return 2
     law_ids = None if args.law is None else [args.law]
     report = run_suite(args.seed, args.cases, law_ids=law_ids)
     if args.json:

@@ -98,7 +98,7 @@ def random_short_map(
     """Rejection-sample a short table; fall back to a constant map."""
     for _ in range(tries):
         table = tuple(rng.choice(codomain.points) for _ in domain.points)
-        # tested on ints first: a rejected ShortMap would build both dist tables for its message
+        # tested before constructing: a rejected draw costs no exception and no message
         if _first_long_pair(domain, codomain, table) is None:
             return ShortMap(domain, codomain, table)
     point = rng.choice(codomain.points)

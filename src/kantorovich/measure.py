@@ -48,17 +48,15 @@ class Measure(_Exact):
     def __post_init__(self, _kernel):
         given = self.__dict__.pop("weights")
         units, denom = _to_units(given) if _kernel is None else _kernel
-        # set first: the error messages below read weights, which are made from them
         object.__setattr__(self, "_units", units)
         object.__setattr__(self, "_denom", denom)
         if len(units) != len(self.space):
             raise ValueError("need one weight per point of the space")
         if min(units) < 0:
-            for p, w in zip(self.space.points, self.weights):
-                if w < 0:
-                    raise ValueError(f"negative weight {w} at {p!r}")
+            p, w = next((p, w) for p, w in zip(self.space.points, units) if w < 0)
+            raise ValueError(f"negative weight {Fraction(w, denom)} at {p!r}")
         if sum(units) != denom:
-            raise ValueError(f"weights sum to {sum(self.weights)}, expected exactly 1")
+            raise ValueError(f"weights sum to {Fraction(sum(units), denom)}, expected exactly 1")
 
     @classmethod
     def _from_units(cls, space: FinMetricSpace, units, denom: int) -> "Measure":

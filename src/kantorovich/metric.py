@@ -9,13 +9,14 @@ have equal ints. It is built from that form: the public constructors check
 the shape of what they are given, turn it into ints with ``_to_units`` and
 keep nothing else, and objects computed from other objects (tensors,
 generated spaces, joints, closures, nested measures) hand their ints,
-reduced by ``_reduced``, to construction directly. Its checks, its equality
-and its hash read those ints: the triangle inequality is tested on every
-triple, and the Lipschitz bound on every pair, one C-level pass per point or
-pair. The public ``Fraction`` table (``dist``, ``values``, ``weights``,
-``coupling``) is made on first read, one ``Fraction`` per distinct value,
-and kept. Values are immutable after construction; every operation is a
-pure function.
+reduced by ``_reduced``, to construction directly. Its checks, their error
+messages, its equality and its hash read those ints: the triangle
+inequality is tested on every triple, and the Lipschitz bound on every pair,
+one C-level pass per point or pair, and a failing check names its first
+violation with ``Fraction``s made from the ints it tested. The public
+``Fraction`` table (``dist``, ``values``, ``weights``, ``coupling``) is made
+on first read, one ``Fraction`` per distinct value, and kept. Values are
+immutable after construction; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ class FinMetricSpace(_Exact):
     at distance zero are rejected, never quotiented.
 
     ``factors`` records how a space was built by :func:`tensor`; it is
-    construction metadata and takes no part in equality or hashing.
+    construction metadata and takes no part in equality or hashing. Factors
+    given to the public constructor must be two spaces whose tensor equals
+    the space.
     ``_ints`` is ``dist`` scaled to integers by ``_scale``, the least common
     denominator of its entries; the axioms are checked on it, and so are
     map shortness, functional shortness and the transport costs. That form
@@ -121,12 +124,21 @@ class FinMetricSpace(_Exact):
         if len(self._index) != n:
             raise ValueError("point labels must be pairwise distinct")
         given = self.__dict__.pop("dist")
-        if _kernel is None:
+        public = _kernel is None
+        if public:
             _kernel = _to_units(_flat(given, n, "distance matrix"))
         units, scale = _kernel
         object.__setattr__(self, "_ints", tuple(units[i : i + n] for i in range(0, n * n, n)))
         object.__setattr__(self, "_scale", scale)
         _check_axioms(self)
+        # tensor passes factors with a kernel; given ones must build this space
+        factors = self.factors
+        if public and factors is not None and not (
+            len(factors) == 2
+            and all(isinstance(x, FinMetricSpace) for x in factors)
+            and tensor(*factors) == self
+        ):
+            raise ValueError("factors must be two spaces whose tensor is this space")
 
     @classmethod
     def _from_ints(cls, points, rows, scale: int, factors=None) -> "FinMetricSpace":
@@ -153,42 +165,36 @@ class FinMetricSpace(_Exact):
 def _check_axioms(space: FinMetricSpace) -> None:
     """Raise on the first metric axiom that the space's ``_ints`` breaks.
 
-    The whole matrix is tested at C speed first, and only a failing matrix is
-    scanned in the original order, pair by pair, to name the first violation;
-    ``dist`` is read only for the exact values of the message.
+    One pass per row tests its diagonal entry, then its other entries for
+    positivity and the row against its column for symmetry at C speed; only
+    a failing row is scanned for its first bad column. The messages give the
+    exact values as ``Fraction``s of the ints that were tested.
     """
-    points, ints = space.points, space._ints
+    points, ints, scale = space.points, space._ints, space._scale
     n = len(ints)
-    if (
-        any(ints[i][i] for i in range(n))
-        or any(min(row[:i] + row[i + 1 :], default=1) <= 0 for i, row in enumerate(ints))
-        or ints != tuple(zip(*ints))
-    ):
-        for i in range(n):
-            if ints[i][i] != 0:
-                raise ValueError(f"dist({points[i]!r}, {points[i]!r}) must be 0")
-            for j in range(n):
-                if i != j and ints[i][j] <= 0:
-                    raise ValueError(
-                        f"distinct points {points[i]!r}, {points[j]!r} require "
-                        f"positive distance, got {space.dist[i][j]}"
-                    )
-                if ints[i][j] != ints[j][i]:
-                    raise ValueError(
-                        f"asymmetric distances between {points[i]!r} and {points[j]!r}"
-                    )
+    columns = tuple(zip(*ints))
+    for i, row in enumerate(ints):
+        if row[i]:
+            raise ValueError(f"dist({points[i]!r}, {points[i]!r}) must be 0")
+        if min(row[:i] + row[i + 1 :], default=1) <= 0 or row != columns[i]:
+            j = next(j for j in range(n) if j != i and (row[j] <= 0 or row[j] != ints[j][i]))
+            if row[j] <= 0:
+                raise ValueError(
+                    f"distinct points {points[i]!r}, {points[j]!r} require "
+                    f"positive distance, got {Fraction(row[j], scale)}"
+                )
+            raise ValueError(f"asymmetric distances between {points[i]!r} and {points[j]!r}")
     # with symmetry, d(k, j) is row j's entry k, so one C-level pass over k
     # checks a pair; the first violating pair in row-major order has i < j
     for i, row in enumerate(ints):
         for j in range(i + 1, n):
             if row[j] > min(map(add, row, ints[j])):
                 k = next(k for k in range(n) if row[j] > row[k] + ints[k][j])
-                dist = space.dist
                 raise ValueError(
                     "triangle inequality violated: "
-                    f"d({points[i]!r},{points[j]!r}) = {dist[i][j]} > "
+                    f"d({points[i]!r},{points[j]!r}) = {Fraction(row[j], scale)} > "
                     f"d({points[i]!r},{points[k]!r}) + d({points[k]!r},{points[j]!r}) = "
-                    f"{dist[i][k] + dist[k][j]}"
+                    f"{Fraction(row[k] + ints[k][j], scale)}"
                 )
 
 
@@ -297,14 +303,16 @@ class ShortMap:
         object.__setattr__(self, "table", table)
         if len(table) != len(self.domain):
             raise ValueError("table must assign a value to every domain point")
-        pair = _first_long_pair(self.domain, self.codomain, table)
+        domain, codomain = self.domain, self.codomain
+        pair = _first_long_pair(domain, codomain, table)
         if pair is not None:
             i, j = pair
+            image = codomain._ints[codomain.index(table[i])][codomain.index(table[j])]
             raise ValueError(
                 "map is not short: "
-                f"d({table[i]!r},{table[j]!r}) = {self.codomain.distance(table[i], table[j])} > "
-                f"d({self.domain.points[i]!r},{self.domain.points[j]!r}) = "
-                f"{self.domain.dist[i][j]}"
+                f"d({table[i]!r},{table[j]!r}) = {Fraction(image, codomain._scale)} > "
+                f"d({domain.points[i]!r},{domain.points[j]!r}) = "
+                f"{Fraction(domain._ints[i][j], domain._scale)}"
             )
 
     @classmethod
@@ -422,17 +430,18 @@ class ShortFunctional(_Exact):
             raise ValueError("functional must assign a value to every point")
         object.__setattr__(self, "_units", units)
         object.__setattr__(self, "_denom", denom)
-        if not _is_short(self.domain, units, denom):
-            values, d = self.values, self.domain.dist
-            for i in range(len(values)):
-                for j in range(i + 1, len(values)):
-                    gap = abs(values[i] - values[j])
-                    if gap > d[i][j]:
-                        raise ValueError(
-                            "functional is not short: "
-                            f"|f({self.domain.points[i]!r}) - f({self.domain.points[j]!r})| = "
-                            f"{gap} > d = {d[i][j]}"
-                        )
+        # f(i) - f(j) <= d(i, j) for every ordered pair is the Lipschitz bound,
+        # one C-level pass per point: f(i) <= min over j of d(i, j) + f(j)
+        values, rows, scale = _common(self.domain, units, denom)
+        if any(v > min(map(add, row, values)) for v, row in zip(values, rows)):
+            n, points = len(values), self.domain.points
+            pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+            i, j = next((i, j) for i, j in pairs if abs(values[i] - values[j]) > rows[i][j])
+            raise ValueError(
+                "functional is not short: "
+                f"|f({points[i]!r}) - f({points[j]!r})| = "
+                f"{Fraction(abs(values[i] - values[j]), scale)} > d = {Fraction(rows[i][j], scale)}"
+            )
 
     @classmethod
     def _from_units(cls, domain: FinMetricSpace, units, denom: int) -> "ShortFunctional":
@@ -466,16 +475,6 @@ def _common(domain: FinMetricSpace, units, denom: int):
     values = units if a == 1 else [x * a for x in units]
     rows = domain._ints if b == 1 else [[x * b for x in row] for row in domain._ints]
     return values, rows, scale
-
-
-def _is_short(domain: FinMetricSpace, units, denom: int) -> bool:
-    """Whether f(i) - f(j) <= d(i, j) for every ordered pair, on ints.
-
-    Both orders of every pair are covered, so this is the Lipschitz bound;
-    each point is one C-level pass, f(i) <= min over j of d(i, j) + f(j).
-    """
-    values, rows, _ = _common(domain, units, denom)
-    return all(v <= min(map(add, row, values)) for v, row in zip(values, rows))
 
 
 def zero_functional(x: FinMetricSpace) -> ShortFunctional:

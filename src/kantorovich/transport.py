@@ -138,7 +138,7 @@ class TransportPlan(_Exact):
                 if total * share != measure._units[i] * expected:
                     raise ValueError(
                         f"{name} {i} sums to {Fraction(total, scale)}, "
-                        f"expected {measure.weights[i]}"
+                        f"expected {Fraction(measure._units[i], measure._denom)}"
                     )
         ints = space._ints
         total = sum(x * ints[i][j] for i, j, x in cells)

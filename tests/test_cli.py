@@ -408,6 +408,39 @@ def test_closed_output_pipe_exits_1_quietly():
     assert err == b""
 
 
+def _deep_label(depth):
+    label = "x"
+    for _ in range(depth):
+        label = [label]
+    return label
+
+
+# each in a fresh interpreter, so that the recursion limit and stack depth
+# are those of the installed command, not of the test runner
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        json.dumps({"spaces": {"deep": {"points": [_deep_label(900)], "dist": [["0"]]}}}),
+    ],
+    ids=["nested-arrays", "nested-label"],
+)
+def test_input_nested_too_deeply_exits_2_naming_the_file(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "kantorovich.cli", "validate", "--workspace", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"error: {path}: ") and done.stderr.count("\n") == 1
+    assert "nested too deeply" in done.stderr
+
+
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == 2

@@ -35,7 +35,7 @@ from kantorovich import (
     wasserstein,
 )
 from kantorovich.generate import random_short_map
-from kantorovich.metric import _over
+from kantorovich.metric import _OnFirstRead, _over
 
 from strategies import functionals_on, metric_spaces
 
@@ -328,6 +328,47 @@ class TestFirstRead:
         for obj in objects:
             tables = {"dist", "weights", "values", "coupling"} & set(vars(obj))
             assert not tables, (type(obj).__name__, tables)
+
+    def test_a_failing_construction_builds_no_table(self, monkeypatch):
+        made = []
+        get = _OnFirstRead.__get__
+
+        def counting_get(self, instance, owner=None):
+            if instance is not None and self.name != "_hash":
+                made.append((type(instance).__name__, self.name))
+            return get(self, instance, owner)
+
+        monkeypatch.setattr(_OnFirstRead, "__get__", counting_get)
+        points = ("no-table-a", "no-table-b")
+        x = FinMetricSpace(points, ((0, Fraction(1, 2)), (Fraction(1, 2), 0)))
+        y = FinMetricSpace(("no-table-c", "no-table-d"), ((0, Fraction(1, 3)), (Fraction(1, 3), 0)))
+        p = Measure(x, (Fraction(1, 3), Fraction(2, 3)))
+        three = ("no-table-a", "no-table-b", "no-table-e")
+        cases = [
+            (lambda: FinMetricSpace(points, ((0, 1), (1, Fraction(1, 4)))), "must be 0"),
+            (
+                lambda: FinMetricSpace(points, ((0, Fraction(-1, 2)), (Fraction(-1, 2), 0))),
+                "positive distance, got -1/2$",
+            ),
+            (lambda: FinMetricSpace(points, ((0, 1), (2, 0))), "asymmetric distances"),
+            (
+                lambda: FinMetricSpace(three, ((0, 1, Fraction(5, 2)), (1, 0, 1), (Fraction(5, 2), 1, 0))),
+                r"= 5/2 > d\('no-table-a','no-table-b'\) \+ d\('no-table-b','no-table-e'\) = 2$",
+            ),
+            (lambda: ShortFunctional(x, (0, Fraction(2, 3))), r"\| = 2/3 > d = 1/2$"),
+            (lambda: ShortMap(y, x, points), "= 1/2 > d.* = 1/3$"),
+            (lambda: Measure(x, (Fraction(3, 2), Fraction(-1, 2))), "negative weight -1/2 at"),
+            (
+                lambda: TransportPlan(p, p, ((Fraction(1, 2), 0), (0, Fraction(1, 2))), 0),
+                "row 0 sums to 1/2, expected 1/3$",
+            ),
+        ]
+        for make, message in cases:
+            with pytest.raises(ValueError, match=message):
+                make()
+        assert made == []
+        for obj in (x, y, p):
+            assert not {"dist", "weights"} & set(vars(obj)), type(obj).__name__
 
     @given(st.data())
     @settings(max_examples=50)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,8 @@ from kantorovich.generate import random_space
 from kantorovich.laws import (
     CATALOG,
     DEFAULT_BUDGET,
+    CheckOutcome,
+    LawCatalogEntry,
     SizeBudget,
     check_law,
     run_law,
@@ -97,6 +100,47 @@ def test_a_case_that_raises_is_a_failure_and_the_run_goes_on(monkeypatch):
     assert len(others) == len(CATALOG) - 2
     assert all(e["status"] != "fail" for e in others)
     jsonio.dumps(report.to_json())
+
+
+def test_run_law_records_the_first_failure_of_each_kind(monkeypatch):
+    def generate(rng, budget):
+        return {"n": rng.randint(0, 9)}
+
+    def fails(n):
+        return CheckOutcome(False, Fraction(n, 2), (n, "x"))
+
+    def raises(n):
+        raise ValueError(f"bad {n}")
+
+    def no_instance(rng, budget):
+        raise RuntimeError("no instance")
+
+    laws = {
+        "test-fails": LawCatalogEntry("test-fails", "fails", generate, fails),
+        "test-raises": LawCatalogEntry("test-raises", "raises", generate, raises),
+        "test-no-instance": LawCatalogEntry("test-no-instance", "no instance", no_instance, fails),
+    }
+    for law_id, entry in laws.items():
+        monkeypatch.setitem(CATALOG, law_id, entry)
+    first = {law_id: _law_rng(3, law_id).randint(0, 9) for law_id in laws}
+    entries = {law_id: run_law(law_id, seed=3, cases=4) for law_id in laws}
+    for entry in entries.values():
+        assert (entry["cases_run"], entry["failures"], entry["status"]) == (4, 4, "fail")
+    n = first["test-fails"]
+    assert entries["test-fails"]["first_counterexample"] == {
+        "instance": {"n": {"type": "int", "value": n}},
+        "lhs": jsonio.format_fraction(Fraction(n, 2)),
+        "rhs": [f"{n}/1", "x"],
+    }
+    n = first["test-raises"]
+    assert entries["test-raises"]["first_counterexample"] == {
+        "instance": {"n": {"type": "int", "value": n}},
+        "error": f"ValueError: bad {n}",
+    }
+    assert entries["test-no-instance"]["first_counterexample"] == {
+        "instance": None,
+        "error": "RuntimeError: no instance",
+    }
 
 
 def test_check_law_replays_serialized_instances():

@@ -43,6 +43,14 @@ class TestMeasureInvariants:
         p = Measure.from_mapping(two_point, {"a": Fraction(1)})
         assert p.weights == (1, 0)
 
+    def test_weight_at_and_support(self, three_point):
+        p = Measure(three_point, (Fraction(1, 3), 0, Fraction(2, 3)))
+        assert [p.weight_at(x) for x in three_point.points] == [Fraction(1, 3), 0, Fraction(2, 3)]
+        assert p.support() == ("p", "r")
+        assert dirac(three_point, "q").support() == ("q",)
+        with pytest.raises(ValueError, match="unknown point"):
+            p.weight_at("zzz")
+
     def test_equality_is_pointwise(self, two_point):
         p = Measure(two_point, (Fraction(1, 2), Fraction(1, 2)))
         q = Measure.from_mapping(two_point, {"b": Fraction(1, 2), "a": Fraction(1, 2)})

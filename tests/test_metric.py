@@ -15,6 +15,7 @@ from kantorovich import (
     braiding,
     compose,
     identity,
+    marginals,
     marginals_n,
     mcshane_closure,
     middle_interchange,
@@ -108,6 +109,21 @@ class TestTensor:
         joint = product_n([uniform(a), uniform(b), uniform(a)])
         assert joint.space.factors[0].factors == (a, b)
         assert marginals_n(joint, 3) == [uniform(a), uniform(b), uniform(a)]
+
+    def test_public_factors_must_build_the_space(self):
+        a = FinMetricSpace(("factor-a0", "factor-a1"), ((0, 1), (1, 0)))
+        aa = tensor(a, a)
+        # four points at distance 1 from each other: the labels of a x a, not its metric
+        flat = FinMetricSpace(aa.points, [[int(i != j) for j in range(4)] for i in range(4)])
+        for factors in ((a, a), (a,), (a, a, a), ("x", "y"), (a, aa)):
+            with pytest.raises(ValueError, match="factors must be two spaces"):
+                FinMetricSpace(flat.points, flat.dist, factors=factors)
+        wide = FinMetricSpace(a.points, ((0, 2), (2, 0)))  # a x wide has the points of a x a
+        with pytest.raises(ValueError, match="factors must be two spaces"):
+            FinMetricSpace(aa.points, aa.dist, factors=(a, wide))
+        given = FinMetricSpace(aa.points, aa.dist, factors=(a, a))
+        assert given == aa and given.factors == (a, a)
+        assert marginals(uniform(given)) == (uniform(a), uniform(a))
 
     def test_cache_counts_calls_and_hits(self, two_point, bit_space):
         before = tensor.cache_info()

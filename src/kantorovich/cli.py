@@ -39,23 +39,33 @@ from .transport import wasserstein
 # acceptance criteria fit well inside.
 MAX_CASES = 1000
 
-# Each object kind: its workspace section and its decoder.
-_KINDS = {
-    "space": ("spaces", jsonio.space_from_json),
-    "map": ("maps", jsonio.map_from_json),
-    "measure": ("measures", jsonio.measure_from_json),
-    "nested": ("nested", jsonio.nested_from_json),
-    "monoid": ("monoids", jsonio.monoid_from_json),
+# The workspace section of each object kind; ``jsonio._KINDS`` decodes it.
+_SECTIONS = {
+    "space": "spaces",
+    "map": "maps",
+    "measure": "measures",
+    "nested": "nested",
+    "monoid": "monoids",
 }
+
+
+def _unique_keys(pairs):
+    """A JSON object's ``dict``; ValueError if it repeats a key (``json`` would keep the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"repeated key {repeated!r}")
+    return obj
 
 
 class Workspace:
     """Named registry of validated objects loaded from JSON files."""
 
     def __init__(self):
-        self._raw = {section: {} for section, _ in _KINDS.values()}
+        self._raw = {section: {} for section in _SECTIONS.values()}
         self._files = {}
-        self._cache = {section: {} for section, _ in _KINDS.values()}
+        self._cache = {section: {} for section in _SECTIONS.values()}
         self._visiting = set()
         self.counts = {}
 
@@ -64,15 +74,18 @@ class Workspace:
         """Merge the files and validate every named object before returning.
 
         Input nested deeper than Python's recursion limit, in the JSON or in
-        an object's definition, is a ValueError naming its file.
+        an object's definition, and a key repeated in one JSON object are
+        ValueErrors naming their file.
         """
         ws = cls()
         for path in paths or ():
             with open(path, "r", encoding="utf-8") as handle:
                 try:
-                    data = json.load(handle)
+                    data = json.load(handle, object_pairs_hook=_unique_keys)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}: invalid JSON: {exc}") from None
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
                 except RecursionError:
                     raise ValueError(f"{path}: input nested too deeply") from None
             if not isinstance(data, dict):
@@ -94,7 +107,7 @@ class Workspace:
         return ws
 
     def resolve(self, kind: str, name: str):
-        section, decode = _KINDS[kind]
+        section = _SECTIONS[kind]
         if name in self._cache[section]:
             return self._cache[section][name]
         if name not in self._raw[section]:
@@ -104,7 +117,7 @@ class Workspace:
             raise ValueError(f"circular reference through {kind} {name!r}")
         self._visiting.add(key)
         try:
-            obj = decode(self._raw[section][name], self.resolve)
+            obj = jsonio._KINDS[kind][2](self._raw[section][name], self.resolve)
         except RecursionError:
             raise ValueError(f"{self._files[key]}: {kind} {name!r} nested too deeply") from None
         finally:
@@ -115,7 +128,7 @@ class Workspace:
     def validate_all(self):
         """Force every named object through its construction checks; count them by section."""
         counts = {}
-        for kind, (section, _) in _KINDS.items():
+        for kind, section in _SECTIONS.items():
             for name in sorted(self._raw[section]):
                 self.resolve(kind, name)
             counts[section] = len(self._raw[section])

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .measure import Measure
 from .metric import FinMetricSpace, ShortFunctional, ShortMap, tensor
 from .monad import NestedMeasure
-from .structure import InternalMonoid, Law
+from .structure import InternalMonoid
 
 Resolver = Optional[Callable[[str, str], object]]
 
@@ -101,6 +101,20 @@ def _field(obj: dict, key: str, kind: str, json_type=object, default=_REQUIRED):
     return value
 
 
+def _by_point(obj: dict, key: str, kind: str, parse, default=_REQUIRED) -> dict:
+    """``obj[key]``, an object keyed by point, as ``{label: parse(value)}``.
+
+    A point named twice, in two spellings of one tuple label, is an error.
+    """
+    table = {}
+    for k, v in _field(obj, key, kind, dict, default).items():
+        label = label_from_key(k)
+        if label in table:
+            raise ValueError(f"{kind} field {key!r} names the point {label_key(label)!r} twice")
+        table[label] = parse(v)
+    return table
+
+
 def _resolve(kind: str, obj, resolver: Resolver):
     if resolver is None:
         raise ValueError(f"cannot resolve {kind} reference {obj!r} without a workspace")
@@ -163,14 +177,10 @@ def measure_to_json(p: Measure):
 def measure_from_json(obj, resolver: Resolver = None) -> Measure:
     if isinstance(obj, str):
         return _resolve("measure", obj, resolver)
-    if not isinstance(obj, dict) or "space" not in obj:
+    if not isinstance(obj, dict):
         raise ValueError(f"bad measure {obj!r}")
-    space = space_from_json(obj["space"], resolver)
-    weights = {
-        label_from_key(k): parse_fraction(v)
-        for k, v in _field(obj, "weights", "measure", dict, {}).items()
-    }
-    return Measure.from_mapping(space, weights)
+    space = space_from_json(_field(obj, "space", "measure"), resolver)
+    return Measure.from_mapping(space, _by_point(obj, "weights", "measure", parse_fraction, {}))
 
 
 def map_to_json(f: ShortMap):
@@ -186,15 +196,11 @@ def map_to_json(f: ShortMap):
 def map_from_json(obj, resolver: Resolver = None) -> ShortMap:
     if isinstance(obj, str):
         return _resolve("map", obj, resolver)
-    if not isinstance(obj, dict) or "table" not in obj:
+    if not isinstance(obj, dict):
         raise ValueError(f"bad map {obj!r}")
     domain = space_from_json(_field(obj, "domain", "map"), resolver)
     codomain = space_from_json(_field(obj, "codomain", "map"), resolver)
-    table = {
-        label_from_key(k): label_from_key(v)
-        for k, v in _field(obj, "table", "map", dict).items()
-    }
-    return ShortMap.from_mapping(domain, codomain, table)
+    return ShortMap.from_mapping(domain, codomain, _by_point(obj, "table", "map", label_from_key))
 
 
 def functional_to_json(f: ShortFunctional):
@@ -211,10 +217,7 @@ def functional_from_json(obj, resolver: Resolver = None) -> ShortFunctional:
     if not isinstance(obj, dict):
         raise ValueError(f"bad functional {obj!r}")
     domain = space_from_json(_field(obj, "domain", "functional"), resolver)
-    values = {
-        label_from_key(k): parse_fraction(v)
-        for k, v in _field(obj, "values", "functional", dict).items()
-    }
+    values = _by_point(obj, "values", "functional", parse_fraction)
     return ShortFunctional.from_mapping(domain, values)
 
 
@@ -229,9 +232,9 @@ def nested_to_json(mu: NestedMeasure):
 def nested_from_json(obj, resolver: Resolver = None) -> NestedMeasure:
     if isinstance(obj, str):
         return _resolve("nested", obj, resolver)
-    if not isinstance(obj, dict) or "base" not in obj:
+    if not isinstance(obj, dict):
         raise ValueError(f"bad nested measure {obj!r}")
-    base = space_from_json(obj["base"], resolver)
+    base = space_from_json(_field(obj, "base", "nested measure"), resolver)
     inner = _field(obj, "inner", "nested measure", list, [])
     weights = _field(obj, "weights", "nested measure", list, [])
     inner = tuple(measure_from_json(m, resolver) for m in inner)
@@ -250,84 +253,76 @@ def monoid_to_json(m: InternalMonoid):
 def monoid_from_json(obj, resolver: Resolver = None) -> InternalMonoid:
     if isinstance(obj, str):
         return _resolve("monoid", obj, resolver)
-    if not isinstance(obj, dict) or "carrier" not in obj:
+    if not isinstance(obj, dict):
         raise ValueError(f"bad monoid {obj!r}")
-    carrier = space_from_json(obj["carrier"], resolver)
+    carrier = space_from_json(_field(obj, "carrier", "monoid"), resolver)
     mult = map_from_json(_field(obj, "mult", "monoid"), resolver)
     unit = label_from_json(_field(obj, "unit", "monoid"))
     return InternalMonoid(carrier, mult, unit)
 
 
-def law_to_json(law: Law):
-    return measure_to_json(law.measure)
+def _bool_from_json(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"bad bool {v!r}")
+    return v
 
 
-def law_from_json(obj, resolver: Resolver = None) -> Law:
-    measure = measure_from_json(obj, resolver)
-    return Law(measure.space, measure)
+def _int_from_json(v) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"bad int {v!r}")
+    return v
 
 
-# Typed wrappers used to serialize law-suite instances and counterexamples.
-
-_ENCODERS = {}
-_DECODERS = {}
-
-
-def _register(type_name, cls, encode, decode):
-    _ENCODERS[cls] = (type_name, encode)
-    _DECODERS[type_name] = decode
+def _list_from_json(v) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"bad list {v!r}")
+    return [value_from_json(x) for x in v]
 
 
-_register("space", FinMetricSpace, space_to_json, space_from_json)
-_register("map", ShortMap, map_to_json, map_from_json)
-_register("measure", Measure, measure_to_json, measure_from_json)
-_register("functional", ShortFunctional, functional_to_json, functional_from_json)
-_register("nested", NestedMeasure, nested_to_json, nested_from_json)
-_register("monoid", InternalMonoid, monoid_to_json, monoid_from_json)
-_register("law", Law, law_to_json, law_from_json)
+# Every typed kind of law-suite instances, counterexamples and workspace
+# objects: tag -> (class, encoder, decoder). A value takes the tag of the
+# first row whose class it is an instance of, so bool comes before int. The
+# object kinds' decoders also take a resolver of names, as the CLI passes.
+_KINDS = {
+    "space": (FinMetricSpace, space_to_json, space_from_json),
+    "map": (ShortMap, map_to_json, map_from_json),
+    "measure": (Measure, measure_to_json, measure_from_json),
+    "functional": (ShortFunctional, functional_to_json, functional_from_json),
+    "nested": (NestedMeasure, nested_to_json, nested_from_json),
+    "monoid": (InternalMonoid, monoid_to_json, monoid_from_json),
+    "bool": (bool, bool, _bool_from_json),
+    "int": (int, int, _int_from_json),
+    "rational": (Fraction, format_fraction, parse_fraction),
+    "point": ((str, tuple), label_to_json, label_from_json),
+    "list": (list, lambda v: [value_to_json(x) for x in v], _list_from_json),
+}
+
+
+def _tag(value) -> str:
+    """The tag of ``value``'s kind; ValueError if it has none."""
+    for tag, (cls, _, _) in _KINDS.items():
+        if isinstance(value, cls):
+            return tag
+    raise ValueError(f"cannot encode {value!r}")
 
 
 def value_to_json(value):
     """Encode a typed value as {"type": ..., "value": ...}."""
-    for cls, (type_name, encode) in _ENCODERS.items():
-        if isinstance(value, cls):
-            return {"type": type_name, "value": encode(value)}
-    if isinstance(value, bool):
-        return {"type": "bool", "value": value}
-    if isinstance(value, int):
-        return {"type": "int", "value": value}
-    if isinstance(value, Fraction):
-        return {"type": "rational", "value": format_fraction(value)}
-    if isinstance(value, (str, tuple)):
-        return {"type": "point", "value": label_to_json(value)}
-    if isinstance(value, list):
-        return {"type": "list", "value": [value_to_json(v) for v in value]}
-    raise ValueError(f"cannot encode {value!r}")
+    tag = _tag(value)
+    return {"type": tag, "value": _KINDS[tag][1](value)}
 
 
 def value_from_json(obj):
+    """Decode {"type": ..., "value": ...}; input nested too deeply is a ValueError."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError(f"bad typed value {obj!r}")
-    t, v = obj["type"], obj.get("value")
-    if t in _DECODERS:
-        return _DECODERS[t](v)
-    if t == "bool":
-        if not isinstance(v, bool):
-            raise ValueError(f"bad bool {v!r}")
-        return v
-    if t == "int":
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"bad int {v!r}")
-        return v
-    if t == "rational":
-        return parse_fraction(v)
-    if t == "point":
-        return label_from_json(v)
-    if t == "list":
-        if not isinstance(v, list):
-            raise ValueError(f"bad list {v!r}")
-        return [value_from_json(x) for x in v]
-    raise ValueError(f"unknown value type {t!r}")
+    tag = obj["type"]
+    if not isinstance(tag, str) or tag not in _KINDS:
+        raise ValueError(f"unknown value type {tag!r}")
+    try:
+        return _KINDS[tag][2](obj.get("value"))
+    except RecursionError:
+        raise ValueError(f"{tag} value nested too deeply") from None
 
 
 def instance_to_json(instance: dict):

@@ -889,11 +889,11 @@ def run_suite(
 def _kind(value) -> str:
     """The report's type tag of a live value; a list's also names its elements' tags."""
     try:
-        typed = jsonio.value_to_json(value)
+        tag = jsonio._tag(value)
     except ValueError:
         return type(value).__name__
-    if typed["type"] != "list":
-        return typed["type"]
+    if tag != "list":
+        return tag
     return "list of " + (" or ".join(sorted({_kind(x) for x in value})) or "nothing")
 
 

@@ -207,6 +207,31 @@ class TestMalformedShapes:
         assert captured.err.startswith("error: ") and field in captured.err
 
 
+# Workspace files that no command may run on: the text and the error's words.
+# ``json`` keeps only the last value of a repeated key, so a repeat is refused.
+_FAIR = '{"space": "X", "weights": {"a": "1/2", "b": "1/2"}}'
+BAD_FILES = {
+    "invalid-json": ('{"spaces": ', "invalid JSON"),
+    "not-an-object": ("[]", "workspace must be a JSON object"),
+    "section-not-an-object": ('{"spaces": []}', "section 'spaces' must map names to objects"),
+    "name-twice": ('{"measures": {"q": %s, "q": %s}}' % (_FAIR, _FAIR), "repeated key 'q'"),
+    "weight-twice": (
+        '{"measures": {"q": {"space": "X", "weights": {"a": "1/2", "a": "1/2", "b": "1/2"}}}}',
+        "repeated key 'a'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, words", BAD_FILES.values(), ids=list(BAD_FILES))
+def test_bad_workspace_file_exits_2_naming_it(tmp_path, ws_file, capsys, text, words):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["validate", "--workspace", ws_file, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ") and words in captured.err
+
+
 class TestUnknownLabels:
     def test_map_table_naming_a_non_domain_point_exits_2(self, tmp_path, ws_file, capsys):
         bad = tmp_path / "bad.json"
@@ -292,6 +317,16 @@ class TestMarginalsCommand:
         bit = FinMetricSpace(("0", "1"), ((0, 1), (1, 0)))
         assert first == uniform(bit)
         assert second == uniform(bit)
+
+    def test_point_spelled_twice_is_error(self, tmp_path, ws_file, capsys):
+        # the weights sum to 3/2; merging the two spellings of ("0", "0") hides it
+        weights = {'["0","0"]': "1/2", '["0", "0"]': "1/2", '["1","1"]': "1/2"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"measures": {"r": {"space": "pair", "weights": weights}}}))
+        assert main(["marginals", "r", "--workspace", ws_file, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert """'weights' names the point '["0","0"]' twice""" in captured.err
 
     def test_non_tensor_space_is_error(self, ws_file, capsys):
         assert main(["marginals", "fair", "--workspace", ws_file]) == 2

@@ -1,9 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from kantorovich import Law, identity, product, tensor, uniform, unit_nested
+from kantorovich import check_law, identity, product, tensor, uniform, unit_nested
 from kantorovich.generate import (
     cyclic_monoid,
     random_functional,
@@ -128,10 +129,6 @@ class TestRoundTrips:
         again = jsonio.monoid_from_json(jsonio.monoid_to_json(m))
         assert again == m
 
-    def test_law(self, two_point):
-        law = Law(two_point, uniform(two_point))
-        assert jsonio.law_from_json(jsonio.law_to_json(law)) == law
-
     def test_typed_values(self, two_point):
         rng = random.Random(7)
         values = {
@@ -215,6 +212,72 @@ class TestErrors:
         obj["weights"] = "1"
         with pytest.raises(ValueError, match="'weights'"):
             jsonio.nested_from_json(obj)
+
+
+PAIR = {"tensor": [{"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}] * 2}
+
+
+# Each field keyed by point, with the point ("a", "a") spelled two ways;
+# merging the two entries would keep only the later one.
+REPEATED_POINTS = {
+    "measure-weights": (
+        jsonio.measure_from_json,
+        {"space": PAIR, "weights": {'["a","a"]': "1/2", '["a", "a"]': "1/2", '["b","b"]': "1/2"}},
+        "measure field 'weights'",
+    ),
+    "functional-values": (
+        jsonio.functional_from_json,
+        {"domain": PAIR, "values": {'["a","a"]': "0", '[ "a","a"]': "1"}},
+        "functional field 'values'",
+    ),
+    "map-table": (
+        jsonio.map_from_json,
+        {
+            "domain": PAIR,
+            "codomain": PAIR,
+            "table": {'["a","a"]': '["a","a"]', '["a","a" ]': '["b","b"]'},
+        },
+        "map field 'table'",
+    ),
+}
+
+
+class TestRepeatedPoints:
+    @pytest.mark.parametrize(
+        "decode, obj, field", REPEATED_POINTS.values(), ids=list(REPEATED_POINTS)
+    )
+    def test_point_named_twice_is_rejected(self, decode, obj, field):
+        message = f"""{field} names the point '["a","a"]' twice"""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decode(obj)
+
+    def test_map_may_repeat_targets(self, two_point):
+        space = jsonio.space_to_json(two_point)
+        obj = {"domain": space, "codomain": space, "table": {"a": "a", "b": "a"}}
+        assert jsonio.map_from_json(obj).table == ("a", "a")
+
+
+def _nest(depth, inner, wrap):
+    for _ in range(depth):
+        inner = wrap(inner)
+    return inner
+
+
+class TestDeepInput:
+    """Typed input nested past the recursion limit is a ValueError, not a RecursionError."""
+
+    def test_deep_label_in_a_replayed_instance(self):
+        space = {"points": [_nest(900, "x", lambda v: [v])], "dist": [["0"]]}
+        instance = {"p": {"type": "measure", "value": {"space": space, "weights": {}}}}
+        with pytest.raises(ValueError, match="nested too deeply"):
+            check_law("monad_left_unit", instance)
+
+    def test_deep_list_value(self):
+        point = {"type": "point", "value": "x"}
+        value = _nest(1200, point, lambda v: {"type": "list", "value": [v]})
+        with pytest.raises(ValueError, match="nested too deeply"):
+            jsonio.instance_from_json({"x": value})
+
 
 def test_dumps_is_deterministic(two_point):
     payload = jsonio.measure_to_json(uniform(two_point))

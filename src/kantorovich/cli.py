@@ -118,8 +118,8 @@ class Workspace:
         self._visiting.add(key)
         try:
             obj = jsonio._KINDS[kind][2](self._raw[section][name], self.resolve)
-        except RecursionError:
-            raise ValueError(f"{self._files[key]}: {kind} {name!r} nested too deeply") from None
+        except jsonio.NestingError as exc:
+            raise ValueError(f"{self._files[key]}: {kind} {name!r}: {exc}") from None
         finally:
             self._visiting.discard(key)
         self._cache[section][name] = obj

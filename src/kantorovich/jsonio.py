@@ -4,7 +4,9 @@ Rationals serialize as canonical "p/q" strings (lowest terms, positive
 denominator); no floating point appears anywhere in I/O. Labels are strings,
 or tuples for tensor points; a tuple label used as an object key is encoded
 as the compact JSON array of its parts, so plain string labels may not begin
-with "[".
+with "[". Every public decoder raises ValueError on bad input; input nested
+past Python's recursion limit raises ``NestingError``, a ValueError naming
+the kind nested too deeply.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import wraps
 from typing import Callable, Optional
 
 from .measure import Measure
@@ -28,6 +31,31 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # exact arithmetic, so far larger inputs would run for minutes before any
 # error could be reported; sizes are checked before any rational is parsed.
 MAX_POINTS = 128
+
+
+class NestingError(ValueError):
+    """Input nested deeper than Python's recursion limit lets a decoder follow."""
+
+
+def _decoder(kind: str):
+    """Make a public decoder turn a RecursionError into a NestingError naming ``kind``.
+
+    The one place where depth becomes a ValueError. A decoder that recurses
+    calls the decorated name, so the innermost decoder at the limit names the
+    kind that is nested too deeply, and callers further out pass its error on.
+    """
+
+    def decorate(decode):
+        @wraps(decode)
+        def decoder(*args, **kwargs):
+            try:
+                return decode(*args, **kwargs)
+            except RecursionError:
+                raise NestingError(f"{kind} nested too deeply") from None
+
+        return decoder
+
+    return decorate
 
 
 def format_fraction(x: Fraction) -> str:
@@ -59,13 +87,14 @@ def label_to_json(label):
     raise ValueError(f"label {label!r} is not JSON-serializable")
 
 
+@_decoder("label")
 def label_from_json(obj):
     if isinstance(obj, str):
         if obj.startswith("["):
             raise ValueError(f"string labels may not begin with '[': {obj!r}")
         return obj
     if isinstance(obj, list):
-        return tuple(label_from_json(part) for part in obj)
+        return tuple(map(label_from_json, obj))
     raise ValueError(f"bad label {obj!r}")
 
 
@@ -139,6 +168,7 @@ def _check_size(n: int):
         )
 
 
+@_decoder("space")
 def space_from_json(obj, resolver: Resolver = None) -> FinMetricSpace:
     if isinstance(obj, str):
         return _resolve("space", obj, resolver)
@@ -174,6 +204,7 @@ def measure_to_json(p: Measure):
     }
 
 
+@_decoder("measure")
 def measure_from_json(obj, resolver: Resolver = None) -> Measure:
     if isinstance(obj, str):
         return _resolve("measure", obj, resolver)
@@ -193,6 +224,7 @@ def map_to_json(f: ShortMap):
     }
 
 
+@_decoder("map")
 def map_from_json(obj, resolver: Resolver = None) -> ShortMap:
     if isinstance(obj, str):
         return _resolve("map", obj, resolver)
@@ -213,6 +245,7 @@ def functional_to_json(f: ShortFunctional):
     }
 
 
+@_decoder("functional")
 def functional_from_json(obj, resolver: Resolver = None) -> ShortFunctional:
     if not isinstance(obj, dict):
         raise ValueError(f"bad functional {obj!r}")
@@ -229,6 +262,7 @@ def nested_to_json(mu: NestedMeasure):
     }
 
 
+@_decoder("nested measure")
 def nested_from_json(obj, resolver: Resolver = None) -> NestedMeasure:
     if isinstance(obj, str):
         return _resolve("nested", obj, resolver)
@@ -250,6 +284,7 @@ def monoid_to_json(m: InternalMonoid):
     }
 
 
+@_decoder("monoid")
 def monoid_from_json(obj, resolver: Resolver = None) -> InternalMonoid:
     if isinstance(obj, str):
         return _resolve("monoid", obj, resolver)
@@ -312,23 +347,22 @@ def value_to_json(value):
     return {"type": tag, "value": _KINDS[tag][1](value)}
 
 
+@_decoder("typed value")
 def value_from_json(obj):
-    """Decode {"type": ..., "value": ...}; input nested too deeply is a ValueError."""
+    """Decode {"type": ..., "value": ...}."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError(f"bad typed value {obj!r}")
     tag = obj["type"]
     if not isinstance(tag, str) or tag not in _KINDS:
         raise ValueError(f"unknown value type {tag!r}")
-    try:
-        return _KINDS[tag][2](obj.get("value"))
-    except RecursionError:
-        raise ValueError(f"{tag} value nested too deeply") from None
+    return _KINDS[tag][2](obj.get("value"))
 
 
 def instance_to_json(instance: dict):
     return {name: value_to_json(value) for name, value in instance.items()}
 
 
+@_decoder("instance")
 def instance_from_json(obj) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("an instance must be a JSON object")

@@ -248,15 +248,23 @@ def tensor(x: FinMetricSpace, y: FinMetricSpace) -> FinMetricSpace:
 
     d((a, b), (a', b')) = d(a, a') + d(b, b').  Points are ordered pairs in
     row-major order with the left factor outer, and the result remembers its
-    factors so marginals need no inference. Results are cached: spaces are
-    immutable, so repeated tensors of equal factors share one instance. Space
+    factors so marginals need no inference. Only the most recent tensors are
+    cached: nearly all reuse falls within one law check, so a small cache
+    keeps that saving without holding spaces from one check to the next,
+    and what the package holds between calls stays small. A repeated
+    tensor may therefore be a new instance, equal to the earlier one. Space
     equality ignores ``factors``, so the cache key also holds each factor's
     factor tree; points, distances and tree together fix the factorization.
     """
     return _tensor(x, y, _shape(x), _shape(y))
 
 
-@lru_cache(maxsize=1024)
+# 64 entries keep 98% of the hits of 1,024: over 300 ``run_suite(s, 1)``
+# rounds (seeds from random.Random("suite:1")), 17,458 against 17,786 hits of
+# 32,139 calls, and the same 17,458 down to 50 entries; at 48 it is 17,148.
+# After 60 such rounds 1,024 entries hold 3.07 MB of spaces and 64 hold
+# 0.18 MB (tracemalloc).
+@lru_cache(maxsize=64)
 def _tensor(x, y, x_shape, y_shape):
     points = tuple((a, b) for a in x.points for b in y.points)
     scale = lcm(x._scale, y._scale)

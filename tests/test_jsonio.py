@@ -278,6 +278,30 @@ class TestDeepInput:
         with pytest.raises(ValueError, match="nested too deeply"):
             jsonio.instance_from_json({"x": value})
 
+    def test_every_decoder_called_directly(self):
+        label = _nest(900, "x", lambda v: [v])
+        space = {"points": [label], "dist": [["0"]]}
+        measure = {"space": space, "weights": {}}
+        cases = [
+            (jsonio.label_from_json, label),
+            (jsonio.space_from_json, space),
+            (jsonio.measure_from_json, measure),
+            (jsonio.map_from_json, {"domain": space, "codomain": space, "table": {}}),
+            (jsonio.functional_from_json, {"domain": space, "values": {}}),
+            (jsonio.nested_from_json, {"base": space, "inner": [], "weights": []}),
+            (jsonio.monoid_from_json, {"carrier": space, "mult": "m", "unit": "x"}),
+            (jsonio.value_from_json, {"type": "measure", "value": measure}),
+        ]
+        for decode, obj in cases:
+            with pytest.raises(ValueError, match="^label nested too deeply$"):
+                decode(obj)
+
+    def test_the_innermost_kind_is_named(self):
+        one = {"points": ["a"], "dist": [["0"]]}
+        chain = _nest(2000, one, lambda v: {"tensor": [v, one]})
+        with pytest.raises(ValueError, match="^space nested too deeply$"):
+            jsonio.space_from_json(chain)
+
 
 def test_dumps_is_deterministic(two_point):
     payload = jsonio.measure_to_json(uniform(two_point))

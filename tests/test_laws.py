@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from kantorovich import jsonio
+from kantorovich import FinMetricSpace, jsonio, metric, tensor
 from kantorovich.generate import random_space
 from kantorovich.laws import (
     CATALOG,
@@ -285,6 +285,20 @@ def _sha256(payload):
 
 
 def test_suite_report_golden_digest():
+    assert _sha256(run_suite(seed=42, cases=5).to_json()) == SUITE_DIGEST
+
+
+def test_suite_report_does_not_depend_on_the_tensor_cache():
+    metric._tensor.cache_clear()
+    assert _sha256(run_suite(seed=42, cases=5).to_json()) == SUITE_DIGEST
+    # more distinct tensors than the cache holds, none of them the suite's
+    before = tensor.cache_info()
+    unit = FinMetricSpace(("churn",), ((0,),))
+    for k in range(before.maxsize + 1):
+        tensor(FinMetricSpace(("c0", "c1"), ((0, k + 1), (k + 1, 0))), unit)
+    after = tensor.cache_info()
+    assert after.misses - before.misses == before.maxsize + 1
+    assert after.currsize == before.maxsize
     assert _sha256(run_suite(seed=42, cases=5).to_json()) == SUITE_DIGEST
 
 

@@ -59,6 +59,10 @@ def _unique_keys(pairs):
     return obj
 
 
+class _NamedError(ValueError):
+    """A load error already prefixed with the file and the innermost object it comes from."""
+
+
 class Workspace:
     """Named registry of validated objects loaded from JSON files."""
 
@@ -73,9 +77,11 @@ class Workspace:
     def load(cls, paths) -> "Workspace":
         """Merge the files and validate every named object before returning.
 
-        Input nested deeper than Python's recursion limit, in the JSON or in
-        an object's definition, and a key repeated in one JSON object are
-        ValueErrors naming their file.
+        Input nested deeper than Python's recursion limit in the JSON text
+        and a key repeated in one JSON object are ValueErrors naming their
+        file. Any error in reading or checking a named object, depth
+        included, names its file and the innermost named object, as
+        ``<file>: <kind> '<name>': <message>``.
         """
         ws = cls()
         for path in paths or ():
@@ -118,8 +124,10 @@ class Workspace:
         self._visiting.add(key)
         try:
             obj = jsonio._KINDS[kind][2](self._raw[section][name], self.resolve)
-        except jsonio.NestingError as exc:
-            raise ValueError(f"{self._files[key]}: {kind} {name!r}: {exc}") from None
+        except _NamedError:
+            raise
+        except ValueError as exc:
+            raise _NamedError(f"{self._files[key]}: {kind} {name!r}: {exc}") from None
         finally:
             self._visiting.discard(key)
         self._cache[section][name] = obj

@@ -52,6 +52,8 @@ def random_space(
 
 def _numerators(rng: random.Random, k: int, top: int):
     """``k`` numerators from 0 to ``top``, redrawn until their sum is positive."""
+    if k < 1 or top < 1:
+        raise ValueError(f"cannot draw a positive sum of {k} numerators up to {top}")
     while True:
         raw = [rng.randint(0, top) for _ in range(k)]
         total = sum(raw)

@@ -4,9 +4,11 @@ Rationals serialize as canonical "p/q" strings (lowest terms, positive
 denominator); no floating point appears anywhere in I/O. Labels are strings,
 or tuples for tensor points; a tuple label used as an object key is encoded
 as the compact JSON array of its parts, so plain string labels may not begin
-with "[". Every public decoder raises ValueError on bad input; input nested
-past Python's recursion limit raises ``NestingError``, a ValueError naming
-the kind nested too deeply.
+with "[". Every public decoder raises ValueError on bad input, a field its
+kind does not have included; input nested past Python's recursion limit
+raises ``NestingError``, a ValueError naming the kind nested too deeply.
+Where a workspace object may stand, a string is its name, looked up through
+the resolver the decoder is given.
 """
 
 from __future__ import annotations
@@ -37,19 +39,37 @@ class NestingError(ValueError):
     """Input nested deeper than Python's recursion limit lets a decoder follow."""
 
 
-def _decoder(kind: str):
-    """Make a public decoder turn a RecursionError into a NestingError naming ``kind``.
+def _decoder(kind: str, fields=None, tag=None):
+    """Wrap a public decoder in the checks that every decoder shares.
 
-    The one place where depth becomes a ValueError. A decoder that recurses
-    calls the decorated name, so the innermost decoder at the limit names the
-    kind that is nested too deeply, and callers further out pass its error on.
+    With ``tag``, a string is the name of a workspace object of that kind,
+    looked up through the resolver passed after it. With ``fields``, any
+    other value must be a JSON object (else ``bad <kind> <value>``) whose
+    keys are all among ``fields``, so a misspelled field is an error rather
+    than ignored. The body then only reads its fields.
+
+    This is also the one place where depth becomes a ValueError: a
+    RecursionError becomes a NestingError naming ``kind``. A decoder that
+    recurses calls the decorated name, so the innermost decoder at the limit
+    names the kind that is nested too deeply, and callers further out pass
+    its error on.
     """
 
     def decorate(decode):
         @wraps(decode)
-        def decoder(*args, **kwargs):
+        def decoder(obj, *resolver):
             try:
-                return decode(*args, **kwargs)
+                if tag is not None and isinstance(obj, str):
+                    if resolver and resolver[0] is not None:
+                        return resolver[0](tag, obj)
+                    raise ValueError(f"cannot resolve {tag} reference {obj!r} without a workspace")
+                if fields is not None:
+                    if not isinstance(obj, dict):
+                        raise ValueError(f"bad {kind} {obj!r}")
+                    for key in obj:
+                        if key not in fields:
+                            raise ValueError(f"{kind} has unknown field {key!r}")
+                return decode(obj, *resolver)
             except RecursionError:
                 raise NestingError(f"{kind} nested too deeply") from None
 
@@ -90,9 +110,7 @@ def label_to_json(label):
 @_decoder("label")
 def label_from_json(obj):
     if isinstance(obj, str):
-        if obj.startswith("["):
-            raise ValueError(f"string labels may not begin with '[': {obj!r}")
-        return obj
+        return label_to_json(obj)
     if isinstance(obj, list):
         return tuple(map(label_from_json, obj))
     raise ValueError(f"bad label {obj!r}")
@@ -107,11 +125,13 @@ def label_key(label) -> str:
 
 
 def label_from_key(key: str):
-    if not isinstance(key, str):
-        raise ValueError(f"bad label {key!r}")
-    if key.startswith("["):
+    """Decode an object key: a plain label, or a tuple label as JSON text."""
+    if isinstance(key, str) and not key.startswith("["):
+        return key
+    try:
         return label_from_json(json.loads(key))
-    return key
+    except (TypeError, json.JSONDecodeError):
+        raise ValueError(f"bad label {key!r}") from None
 
 
 _JSON_TYPES = {dict: "an object", list: "a list"}
@@ -144,12 +164,6 @@ def _by_point(obj: dict, key: str, kind: str, parse, default=_REQUIRED) -> dict:
     return table
 
 
-def _resolve(kind: str, obj, resolver: Resolver):
-    if resolver is None:
-        raise ValueError(f"cannot resolve {kind} reference {obj!r} without a workspace")
-    return resolver(kind, obj)
-
-
 def space_to_json(space: FinMetricSpace):
     if space.factors is not None:
         left, right = space.factors
@@ -168,18 +182,15 @@ def _check_size(n: int):
         )
 
 
-@_decoder("space")
+@_decoder("space", ("points", "dist", "tensor"), "space")
 def space_from_json(obj, resolver: Resolver = None) -> FinMetricSpace:
-    if isinstance(obj, str):
-        return _resolve("space", obj, resolver)
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad space {obj!r}")
     if "tensor" in obj:
+        if len(obj) > 1:
+            raise ValueError("space takes 'tensor' or 'points' and 'dist', not both")
         parts = obj["tensor"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise ValueError("tensor form needs exactly two factor spaces")
-        left = space_from_json(parts[0], resolver)
-        right = space_from_json(parts[1], resolver)
+        left, right = (space_from_json(part, resolver) for part in parts)
         _check_size(len(left) * len(right))
         return tensor(left, right)
     points, dist = obj.get("points", []), obj.get("dist", [])
@@ -204,12 +215,8 @@ def measure_to_json(p: Measure):
     }
 
 
-@_decoder("measure")
+@_decoder("measure", ("space", "weights"), "measure")
 def measure_from_json(obj, resolver: Resolver = None) -> Measure:
-    if isinstance(obj, str):
-        return _resolve("measure", obj, resolver)
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad measure {obj!r}")
     space = space_from_json(_field(obj, "space", "measure"), resolver)
     return Measure.from_mapping(space, _by_point(obj, "weights", "measure", parse_fraction, {}))
 
@@ -224,12 +231,8 @@ def map_to_json(f: ShortMap):
     }
 
 
-@_decoder("map")
+@_decoder("map", ("domain", "codomain", "table"), "map")
 def map_from_json(obj, resolver: Resolver = None) -> ShortMap:
-    if isinstance(obj, str):
-        return _resolve("map", obj, resolver)
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad map {obj!r}")
     domain = space_from_json(_field(obj, "domain", "map"), resolver)
     codomain = space_from_json(_field(obj, "codomain", "map"), resolver)
     return ShortMap.from_mapping(domain, codomain, _by_point(obj, "table", "map", label_from_key))
@@ -245,10 +248,8 @@ def functional_to_json(f: ShortFunctional):
     }
 
 
-@_decoder("functional")
+@_decoder("functional", ("domain", "values"))
 def functional_from_json(obj, resolver: Resolver = None) -> ShortFunctional:
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad functional {obj!r}")
     domain = space_from_json(_field(obj, "domain", "functional"), resolver)
     values = _by_point(obj, "values", "functional", parse_fraction)
     return ShortFunctional.from_mapping(domain, values)
@@ -262,12 +263,8 @@ def nested_to_json(mu: NestedMeasure):
     }
 
 
-@_decoder("nested measure")
+@_decoder("nested measure", ("base", "inner", "weights"), "nested")
 def nested_from_json(obj, resolver: Resolver = None) -> NestedMeasure:
-    if isinstance(obj, str):
-        return _resolve("nested", obj, resolver)
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad nested measure {obj!r}")
     base = space_from_json(_field(obj, "base", "nested measure"), resolver)
     inner = _field(obj, "inner", "nested measure", list, [])
     weights = _field(obj, "weights", "nested measure", list, [])
@@ -284,12 +281,8 @@ def monoid_to_json(m: InternalMonoid):
     }
 
 
-@_decoder("monoid")
+@_decoder("monoid", ("carrier", "mult", "unit"), "monoid")
 def monoid_from_json(obj, resolver: Resolver = None) -> InternalMonoid:
-    if isinstance(obj, str):
-        return _resolve("monoid", obj, resolver)
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad monoid {obj!r}")
     carrier = space_from_json(_field(obj, "carrier", "monoid"), resolver)
     mult = map_from_json(_field(obj, "mult", "monoid"), resolver)
     unit = label_from_json(_field(obj, "unit", "monoid"))
@@ -347,15 +340,15 @@ def value_to_json(value):
     return {"type": tag, "value": _KINDS[tag][1](value)}
 
 
-@_decoder("typed value")
+@_decoder("typed value", ("type", "value"))
 def value_from_json(obj):
     """Decode {"type": ..., "value": ...}."""
-    if not isinstance(obj, dict) or "type" not in obj:
+    if "type" not in obj:
         raise ValueError(f"bad typed value {obj!r}")
     tag = obj["type"]
     if not isinstance(tag, str) or tag not in _KINDS:
         raise ValueError(f"unknown value type {tag!r}")
-    return _KINDS[tag][2](obj.get("value"))
+    return _KINDS[tag][2](_field(obj, "value", "typed value"))
 
 
 def instance_to_json(instance: dict):

@@ -80,7 +80,9 @@ class SizeBudget:
     Defaults keep every exact solve sub-second while still exercising
     degenerate cases: spaces of 2 to 6 points, weight numerators up to 64
     before normalization, tensor factors of 2 to 3 points (2 for four-factor
-    laws), and nestings of at most 3 by 3.
+    laws), and nestings of at most 3 by 3. Each limit is an int of at least
+    1, and the three point limits are at least 2; any other value is a
+    ValueError naming the field.
     """
 
     max_points: int = 6
@@ -89,6 +91,15 @@ class SizeBudget:
     max_numerator: int = 64
     max_inner: int = 3
     max_oracle_support: int = 4
+
+    def __post_init__(self):
+        # the generators draw spaces of at least two points and at least one of the rest
+        for name, value in vars(self).items():
+            least = 2 if name.endswith("_points") else 1
+            if type(value) is not int or value < least:
+                raise ValueError(
+                    f"SizeBudget.{name} must be an int of at least {least}, got {value!r}"
+                )
 
 
 DEFAULT_BUDGET = SizeBudget()

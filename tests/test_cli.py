@@ -193,6 +193,9 @@ MALFORMED = {
     "map-table-list": ("maps", {"domain": "X", "codomain": "X", "table": ["a"]}, "'table'"),
     "map-without-domain": ("maps", {"codomain": "X", "table": {"a": "a", "b": "b"}}, "'domain'"),
     "nested-inner-number": ("nested", {"base": "X", "inner": 5, "weights": ["1/1"]}, "'inner'"),
+    # a misspelled field beside the right one once passed validate
+    "map-tabel": ("maps", {"domain": "X", "codomain": "X", "table": {"a": "a"}, "tabel": {}}, "'tabel'"),
+    "measure-weigths": ("measures", {"space": "X", "weights": {"a": "1"}, "weigths": {}}, "'weigths'"),
 }
 
 
@@ -230,6 +233,45 @@ def test_bad_workspace_file_exits_2_naming_it(tmp_path, ws_file, capsys, text, w
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: ") and words in captured.err
+
+
+_LINE = {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}
+_SURE = {"space": "X", "weights": {"a": "1"}}
+
+# Two workspace files, the second holding a broken object, and the innermost
+# named object the error line must name after the second file's path.
+TWO_FILES = {
+    "broken-measure": (
+        {"spaces": {"X": _LINE}, "measures": {"q": _SURE}},
+        {"measures": {"p": {"space": "X", "weights": {"a": "1/2", "b": "1/3"}}}},
+        "measure 'p': weights sum to 5/6, expected exactly 1",
+    ),
+    "tensor-of-a-broken-factor": (
+        {"spaces": {"X": _LINE, "AB": {"tensor": ["X", "B"]}}, "measures": {"q": _SURE}},
+        {
+            "spaces": {
+                "B": {"points": ["a", "b", "c"], "dist": [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]}
+            }
+        },
+        "space 'B': triangle inequality violated: d('a','c') = 5 > d('a','b') + d('b','c') = 2",
+    ),
+    "unknown-reference": (
+        {"spaces": {"X": _LINE}, "measures": {"q": _SURE}},
+        {"measures": {"p": {"space": "Y", "weights": {"a": "1"}}}},
+        "measure 'p': unknown space 'Y'",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["distance", "q", "q"]], ids=["validate", "distance"])
+@pytest.mark.parametrize("first, second, named", TWO_FILES.values(), ids=list(TWO_FILES))
+def test_load_error_names_its_file_and_innermost_object(tmp_path, capsys, command, first, second, named):
+    files = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path, data in zip(files, (first, second)):
+        path.write_text(json.dumps(data))
+    assert main(command + ["--workspace", *map(str, files)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {files[1]}: {named}\n")
 
 
 class TestUnknownLabels:

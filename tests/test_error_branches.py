@@ -30,6 +30,7 @@ X = FinMetricSpace(("a", "b"), ((0, 1), (1, 0)))
 Y = FinMetricSpace(("u", "v", "w"), ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
 HALF = Fraction(1, 2)
 POINT = {"points": ["a"], "dist": [["0"]]}
+X2 = {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}
 
 ERRORS = {
     # metric
@@ -107,6 +108,29 @@ ERRORS = {
         lambda: jsonio.monoid_from_json({"unit": "a"}),
         "monoid has no 'carrier' field",
     ),
+    # a field that no decoder reads was once ignored, so a misspelling passed
+    "map-tabel": (
+        lambda: jsonio.map_from_json({"domain": X2, "codomain": X2, "table": {"a": "a"}, "tabel": {}}),
+        "map has unknown field 'tabel'",
+    ),
+    "measure-weigths": (
+        lambda: jsonio.measure_from_json({"space": X2, "weights": {"a": "1"}, "weigths": {}}),
+        "measure has unknown field 'weigths'",
+    ),
+    "space-of-both-forms": (
+        lambda: jsonio.space_from_json(dict(X2, tensor=[X2, X2])),
+        "space takes 'tensor' or 'points' and 'dist', not both",
+    ),
+    "typed-value-extra": (
+        lambda: jsonio.value_from_json({"type": "rational", "value": "1/2", "extra": 1}),
+        "typed value has unknown field 'extra'",
+    ),
+    "typed-value-without-value": (
+        lambda: jsonio.value_from_json({"type": "rational"}),
+        "typed value has no 'value' field",
+    ),
+    # once only the JSON parser's "Expecting value: line 1 column 2 (char 1)"
+    "malformed-tuple-key": (lambda: jsonio.label_from_key("["), "bad label '['"),
 }
 
 

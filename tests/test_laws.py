@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from kantorovich import FinMetricSpace, jsonio, metric, tensor
-from kantorovich.generate import random_space
+from kantorovich.generate import _numerators, random_space
 from kantorovich.laws import (
     CATALOG,
     DEFAULT_BUDGET,
@@ -234,6 +234,47 @@ def test_custom_budget_respected():
             weights += list(nu.weights)
             weights += [w for m in nu.inner for w in m.weights]
         assert max(w.denominator for w in weights) <= 4, seed
+
+
+# Each field below its minimum once made a generator loop forever or raise
+# inside every law that used it, reported as failures of the laws.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_points", 1),
+        ("max_factor_points", 1),
+        ("max_quad_points", 1),
+        ("max_numerator", 0),
+        ("max_inner", 0),
+        ("max_oracle_support", 0),
+        ("max_points", 4.0),
+        ("max_numerator", True),
+    ],
+)
+def test_size_budget_below_its_minimum_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^SizeBudget.{field} must be an int of at least"):
+        SizeBudget(**{field: value})
+
+
+def test_smallest_size_budget_runs_every_law():
+    least = SizeBudget(2, 2, 2, 1, 1, 1)
+    assert run_suite(seed=3, cases=2, budget=least).all_passed()
+
+
+class _FewDraws(random.Random):
+    """Fails after 100 draws, so a generator that redraws forever fails rather than hangs."""
+
+    left = 100
+
+    def randint(self, a, b):
+        self.left -= 1
+        assert self.left >= 0, "more than 100 draws"
+        return super().randint(a, b)
+
+
+def test_numerators_refuse_an_empty_range():
+    with pytest.raises(ValueError, match="up to 0"):
+        _numerators(_FewDraws(1), 2, 0)
 
 
 # sha256 digests recorded before the catalog was declared with @law; a

@@ -1,7 +1,9 @@
 """JSON encoding and decoding for every object kind.
 
 Rationals serialize as canonical "p/q" strings (lowest terms, positive
-denominator); no floating point appears anywhere in I/O. Labels are strings,
+denominator); no floating point appears anywhere in I/O. An object is read
+from its rationals as ints over their least common denominator and written
+from its ints, so no ``Fraction`` is made on the way in or out. Labels are strings,
 or tuples for tensor points; a tuple label used as an object key is encoded
 as the compact JSON array of its parts, so plain string labels may not begin
 with "[". Every public decoder raises ValueError on bad input, a field its
@@ -17,22 +19,30 @@ import json
 import re
 from fractions import Fraction
 from functools import wraps
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from .measure import Measure
-from .metric import FinMetricSpace, ShortFunctional, ShortMap, tensor
+from .metric import FinMetricSpace, ShortFunctional, ShortMap, _as_fraction, _by_label, tensor
 from .monad import NestedMeasure
 from .structure import InternalMonoid
 
 Resolver = Optional[Callable[[str, str], object]]
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # Most points a space read from JSON may have, tensor products included.
 # Building a space checks the triangle inequality over all n**3 triples in
 # exact arithmetic, so far larger inputs would run for minutes before any
 # error could be reported; sizes are checked before any rational is parsed.
 MAX_POINTS = 128
+
+# Most bits the distinct denominators of one object may have in all, checked
+# before their lcm, which the sum bounds, becomes the object's denominator.
+# The worst case accepted, MAX_POINTS points with one 4,096-bit denominator in
+# every distance, builds in 0.9-1.2 s against 0.09 s at distance 1 (Python
+# 3.11, Intel Xeon).
+MAX_DENOMINATOR_BITS = 4096
 
 
 class NestingError(ValueError):
@@ -79,22 +89,51 @@ def _decoder(kind: str, fields=None, tag=None):
 
 
 def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
+    x = _as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _format(x: int, denom: int) -> str:
+    """``x / denom`` as :func:`format_fraction` writes it."""
+    g = gcd(x, denom)
+    return f"{x // g}/{denom // g}"
 
 
 def parse_fraction(s) -> Fraction:
     """Read a rational: a JSON integer, or a string "p/q" or "p" (p may be negative)."""
+    return Fraction(*_rational(s))
+
+
+def _rational(s) -> tuple:
+    """``(numerator, denominator)`` of the rational ``s``, as ints, not reduced."""
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+        return s, 1
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
-    if not _RATIONAL.fullmatch(s):
+    match = _RATIONAL.fullmatch(s)
+    if not match:
         raise ValueError(f'bad rational {s!r}: expected "p/q" or an integer')
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"bad rational {s!r}: zero denominator") from None
+    numerator, denominator = int(match[1]), int(match[2] or 1)
+    if not denominator:
+        raise ValueError(f"bad rational {s!r}: zero denominator")
+    return numerator, denominator
+
+
+def _check_bits(denominators):
+    bits = sum(d.bit_length() for d in denominators)
+    if bits > MAX_DENOMINATOR_BITS:
+        raise ValueError(
+            f"denominators of {bits} bits in all are over the limit of {MAX_DENOMINATOR_BITS} "
+            "bits (kantorovich.jsonio.MAX_DENOMINATOR_BITS)"
+        )
+
+
+def _over_lcm(rows) -> tuple:
+    """``(rows, denom)``: the ``_rational`` pairs in ``rows`` as ints over their lcm."""
+    denominators = {d for row in rows for _, d in row}
+    _check_bits(denominators)
+    denom = lcm(*denominators)
+    return [[n * (denom // d) for n, d in row] for row in rows], denom
 
 
 def label_to_json(label):
@@ -170,7 +209,7 @@ def space_to_json(space: FinMetricSpace):
         return {"tensor": [space_to_json(left), space_to_json(right)]}
     return {
         "points": [label_to_json(p) for p in space.points],
-        "dist": [[format_fraction(x) for x in row] for row in space.dist],
+        "dist": [[_format(x, space._scale) for x in row] for row in space._ints],
     }
 
 
@@ -192,6 +231,7 @@ def space_from_json(obj, resolver: Resolver = None) -> FinMetricSpace:
             raise ValueError("tensor form needs exactly two factor spaces")
         left, right = (space_from_json(part, resolver) for part in parts)
         _check_size(len(left) * len(right))
+        _check_bits({left._scale, right._scale})
         return tensor(left, right)
     points, dist = obj.get("points", []), obj.get("dist", [])
     if not (isinstance(points, list) and isinstance(dist, list)) or not all(
@@ -200,17 +240,15 @@ def space_from_json(obj, resolver: Resolver = None) -> FinMetricSpace:
         raise ValueError("space needs a list of points and a list of dist rows")
     _check_size(max(len(points), len(dist), *map(len, dist)))
     points = [label_from_json(p) for p in points]
-    dist = [[parse_fraction(x) for x in row] for row in dist]
-    return FinMetricSpace(tuple(points), tuple(tuple(row) for row in dist))
+    rows, denom = _over_lcm([[_rational(x) for x in row] for row in dist])
+    return FinMetricSpace._from_ints(points, rows, denom)
 
 
 def measure_to_json(p: Measure):
     return {
         "space": space_to_json(p.space),
         "weights": {
-            label_key(pt): format_fraction(w)
-            for pt, w in zip(p.space.points, p.weights)
-            if w
+            label_key(pt): _format(w, p._denom) for pt, w in zip(p.space.points, p._units) if w
         },
     }
 
@@ -218,7 +256,9 @@ def measure_to_json(p: Measure):
 @_decoder("measure", ("space", "weights"), "measure")
 def measure_from_json(obj, resolver: Resolver = None) -> Measure:
     space = space_from_json(_field(obj, "space", "measure"), resolver)
-    return Measure.from_mapping(space, _by_point(obj, "weights", "measure", parse_fraction, {}))
+    weights = _by_point(obj, "weights", "measure", _rational, {})
+    (units,), denom = _over_lcm([_by_label(space, weights, "weights", (0, 1))])
+    return Measure._from_units(space, units, denom)
 
 
 def map_to_json(f: ShortMap):
@@ -242,8 +282,7 @@ def functional_to_json(f: ShortFunctional):
     return {
         "domain": space_to_json(f.domain),
         "values": {
-            label_key(p): format_fraction(v)
-            for p, v in zip(f.domain.points, f.values)
+            label_key(p): _format(v, f._denom) for p, v in zip(f.domain.points, f._units)
         },
     }
 
@@ -251,15 +290,16 @@ def functional_to_json(f: ShortFunctional):
 @_decoder("functional", ("domain", "values"))
 def functional_from_json(obj, resolver: Resolver = None) -> ShortFunctional:
     domain = space_from_json(_field(obj, "domain", "functional"), resolver)
-    values = _by_point(obj, "values", "functional", parse_fraction)
-    return ShortFunctional.from_mapping(domain, values)
+    values = _by_point(obj, "values", "functional", _rational)
+    (units,), denom = _over_lcm([_by_label(domain, values, "values", (0, 1))])
+    return ShortFunctional._from_units(domain, units, denom)
 
 
 def nested_to_json(mu: NestedMeasure):
     return {
         "base": space_to_json(mu.base),
         "inner": [measure_to_json(m) for m in mu.inner],
-        "weights": [format_fraction(w) for w in mu.weights],
+        "weights": [_format(w, mu._denom) for w in mu._units],
     }
 
 
@@ -269,8 +309,8 @@ def nested_from_json(obj, resolver: Resolver = None) -> NestedMeasure:
     inner = _field(obj, "inner", "nested measure", list, [])
     weights = _field(obj, "weights", "nested measure", list, [])
     inner = tuple(measure_from_json(m, resolver) for m in inner)
-    weights = tuple(parse_fraction(w) for w in weights)
-    return NestedMeasure(base, inner, weights)
+    (units,), denom = _over_lcm([[_rational(w) for w in weights]])
+    return NestedMeasure._from_units(base, inner, units, denom)
 
 
 def monoid_to_json(m: InternalMonoid):

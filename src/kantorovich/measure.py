@@ -9,7 +9,6 @@ object (see :mod:`kantorovich.metric`).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Mapping
@@ -20,6 +19,7 @@ from .metric import (
     ShortFunctional,
     ShortMap,
     _Exact,
+    _by_label,
     _OnFirstRead,
     _over,
     _reduced,
@@ -27,7 +27,6 @@ from .metric import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class Measure(_Exact):
     """A probability measure on a finite metric space.
 
@@ -39,21 +38,16 @@ class Measure(_Exact):
     and hashing read it.
     """
 
-    space: FinMetricSpace
-    weights: tuple = _OnFirstRead(lambda p: _over((p._units,), p._denom)[0])
-    _kernel: InitVar[tuple | None] = None
-    _units: tuple = field(init=False, compare=False, repr=False)
-    _denom: int = field(init=False, compare=False, repr=False)
+    _fields = ("space", "weights")
+    weights = _OnFirstRead(lambda p: _over((p._units,), p._denom)[0])
 
-    def __post_init__(self, _kernel):
-        given = self.__dict__.pop("weights")
-        units, denom = _to_units(given) if _kernel is None else _kernel
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(self, "_denom", denom)
-        if len(units) != len(self.space):
+    def __init__(self, space, weights, _kernel=None):
+        units, denom = _to_units(weights) if _kernel is None else _kernel
+        vars(self).update(space=space, _units=units, _denom=denom)
+        if len(units) != len(space):
             raise ValueError("need one weight per point of the space")
         if min(units) < 0:
-            p, w = next((p, w) for p, w in zip(self.space.points, units) if w < 0)
+            p, w = next((p, w) for p, w in zip(space.points, units) if w < 0)
             raise ValueError(f"negative weight {Fraction(w, denom)} at {p!r}")
         if sum(units) != denom:
             raise ValueError(f"weights sum to {Fraction(sum(units), denom)}, expected exactly 1")
@@ -67,14 +61,9 @@ class Measure(_Exact):
         return self._denom, self._units, self.space
 
     @classmethod
-    def from_mapping(
-        cls, space: FinMetricSpace, mapping: Mapping[Label, Fraction]
-    ) -> "Measure":
+    def from_mapping(cls, space: FinMetricSpace, mapping: Mapping[Label, Fraction]) -> "Measure":
         """Build from a label-to-weight mapping; missing labels mean weight 0."""
-        unknown = [k for k in mapping if k not in space._index]
-        if unknown:
-            raise ValueError(f"weights name unknown points: {unknown!r}")
-        return cls(space, tuple(mapping.get(p, 0) for p in space.points))
+        return cls(space, _by_label(space, mapping, "weights"))
 
     def weight_at(self, point: Label) -> Fraction:
         return self.weights[self.space.index(point)]

@@ -21,7 +21,6 @@ immutable after construction; every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -44,11 +43,10 @@ class _OnFirstRead:
     """A value that every instance makes from its ints on first read.
 
     A non-data descriptor, for the public tables and the hash. Every
-    construction pops the table it was given (``None`` from a kernel
-    construction) off the instance and keeps only its ints; the first read
-    computes ``make(instance)`` and stores it on the instance, which then
-    shadows this. Reading it on the class raises AttributeError, so a field
-    gets no default.
+    construction keeps only the ints of the table it was given (``None``
+    from a kernel construction); the first read computes ``make(instance)``
+    and stores it on the instance, which then shadows this. Reading it on
+    the class raises AttributeError.
     """
 
     def __init__(self, make):
@@ -65,15 +63,29 @@ class _OnFirstRead:
 
 
 class _Exact:
-    """Equality and hashing of an exact object, on the key its class gives.
+    """An immutable value: every value type is a plain class over this base.
 
-    Each exact type is a frozen dataclass with ``eq=False`` over this base,
-    and its ``_key`` holds its stored ints and the objects it lives on,
-    never a ``Fraction`` table. The ints are reduced, so equal objects have
-    equal keys. The hash is computed on first use and kept.
+    ``__init__`` writes the attributes once, through ``__dict__``; setting or
+    deleting one afterwards raises AttributeError. The repr shows the
+    ``_fields`` in order. Equality and the hash read ``_key``: the fields, or
+    for an exact type its stored ints and the objects it lives on, never a
+    ``Fraction`` table. The ints are reduced, so equal objects have equal
+    keys. The hash is computed on first use and kept.
     """
 
     _hash = _OnFirstRead(lambda obj: hash(obj._key()))
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if self is other:
@@ -86,7 +98,6 @@ class _Exact:
         return self._hash
 
 
-@dataclass(frozen=True, eq=False)
 class FinMetricSpace(_Exact):
     """A finite metric space: ordered point labels and an exact distance matrix.
 
@@ -106,33 +117,24 @@ class FinMetricSpace(_Exact):
     it.
     """
 
-    points: tuple
-    dist: tuple = _OnFirstRead(lambda space: _over(space._ints, space._scale))
-    factors: tuple | None = field(default=None, compare=False)
-    _kernel: InitVar[tuple | None] = None
-    _index: dict = field(init=False, compare=False, repr=False)
-    _ints: tuple = field(init=False, compare=False, repr=False)
-    _scale: int = field(init=False, compare=False, repr=False)
+    _fields = ("points", "dist", "factors")
+    dist = _OnFirstRead(lambda space: _over(space._ints, space._scale))
 
-    def __post_init__(self, _kernel):
-        points = tuple(self.points)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
+    def __init__(self, points, dist, factors=None, _kernel=None):
+        points = tuple(points)
+        index = {p: i for i, p in enumerate(points)}
         n = len(points)
         if n == 0:
             raise ValueError("a metric space needs at least one point")
-        if len(self._index) != n:
+        if len(index) != n:
             raise ValueError("point labels must be pairwise distinct")
-        given = self.__dict__.pop("dist")
         public = _kernel is None
-        if public:
-            _kernel = _to_units(_flat(given, n, "distance matrix"))
-        units, scale = _kernel
-        object.__setattr__(self, "_ints", tuple(units[i : i + n] for i in range(0, n * n, n)))
-        object.__setattr__(self, "_scale", scale)
+        table = _flat(dist if public else _kernel[0], n, "distance matrix")
+        units, scale = _to_units(table) if public else _reduced(table, _kernel[1])
+        ints = tuple(units[i : i + n] for i in range(0, n * n, n))
+        vars(self).update(points=points, factors=factors, _index=index, _ints=ints, _scale=scale)
         _check_axioms(self)
         # tensor passes factors with a kernel; given ones must build this space
-        factors = self.factors
         if public and factors is not None and not (
             len(factors) == 2
             and all(isinstance(x, FinMetricSpace) for x in factors)
@@ -143,8 +145,7 @@ class FinMetricSpace(_Exact):
     @classmethod
     def _from_ints(cls, points, rows, scale: int, factors=None) -> "FinMetricSpace":
         """The space with distances ``rows[i][j] / scale``, checked like any other."""
-        units = tuple(_flat(rows, len(points), "distance matrix"))
-        return cls(points, None, factors, _reduced(units, scale))
+        return cls(points, None, factors, (rows, scale))
 
     def _key(self):
         return self._scale, self._ints, self.points
@@ -209,7 +210,7 @@ def _flat(matrix, n: int, name: str):
     rows = tuple(map(tuple, matrix))
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"{name} must be {n}x{n}")
-    return chain.from_iterable(rows)
+    return tuple(chain.from_iterable(rows))
 
 
 def _to_units(values) -> tuple:
@@ -294,24 +295,20 @@ def _first_long_pair(domain: FinMetricSpace, codomain: FinMetricSpace, table) ->
     return None
 
 
-@dataclass(frozen=True)
-class ShortMap:
+class ShortMap(_Exact):
     """A 1-Lipschitz function given by a total lookup table.
 
     ``table`` lists the codomain label for each domain point, aligned with
     ``domain.points``. Shortness is checked exhaustively on construction.
     """
 
-    domain: FinMetricSpace
-    codomain: FinMetricSpace
-    table: tuple
+    _fields = ("domain", "codomain", "table")
 
-    def __post_init__(self):
-        table = tuple(self.table)
-        object.__setattr__(self, "table", table)
-        if len(table) != len(self.domain):
+    def __init__(self, domain, codomain, table):
+        table = tuple(table)
+        vars(self).update(domain=domain, codomain=codomain, table=table)
+        if len(table) != len(domain):
             raise ValueError("table must assign a value to every domain point")
-        domain, codomain = self.domain, self.codomain
         pair = _first_long_pair(domain, codomain, table)
         if pair is not None:
             i, j = pair
@@ -325,10 +322,7 @@ class ShortMap:
 
     @classmethod
     def from_mapping(
-        cls,
-        domain: FinMetricSpace,
-        codomain: FinMetricSpace,
-        mapping: Mapping[Label, Label],
+        cls, domain: FinMetricSpace, codomain: FinMetricSpace, mapping: Mapping[Label, Label]
     ) -> "ShortMap":
         missing = [p for p in domain.points if p not in mapping]
         if missing:
@@ -415,7 +409,6 @@ def middle_interchange(
     return ShortMap(dom, cod, tuple(((a, c), (b, d)) for (a, b), (c, d) in dom.points))
 
 
-@dataclass(frozen=True, eq=False)
 class ShortFunctional(_Exact):
     """A 1-Lipschitz rational-valued function on a finite metric space.
 
@@ -425,24 +418,19 @@ class ShortFunctional(_Exact):
     denominator of their entries. Equality and hashing read that form.
     """
 
-    domain: FinMetricSpace
-    values: tuple = _OnFirstRead(lambda f: _over((f._units,), f._denom)[0])
-    _kernel: InitVar[tuple | None] = None
-    _units: tuple = field(init=False, compare=False, repr=False)
-    _denom: int = field(init=False, compare=False, repr=False)
+    _fields = ("domain", "values")
+    values = _OnFirstRead(lambda f: _over((f._units,), f._denom)[0])
 
-    def __post_init__(self, _kernel):
-        given = self.__dict__.pop("values")
-        units, denom = _to_units(given) if _kernel is None else _kernel
-        if len(units) != len(self.domain):
+    def __init__(self, domain, values, _kernel=None):
+        units, denom = _to_units(values) if _kernel is None else _kernel
+        if len(units) != len(domain):
             raise ValueError("functional must assign a value to every point")
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(self, "_denom", denom)
+        vars(self).update(domain=domain, _units=units, _denom=denom)
         # f(i) - f(j) <= d(i, j) for every ordered pair is the Lipschitz bound,
         # one C-level pass per point: f(i) <= min over j of d(i, j) + f(j)
-        values, rows, scale = _common(self.domain, units, denom)
+        values, rows, scale = _common(domain, units, denom)
         if any(v > min(map(add, row, values)) for v, row in zip(values, rows)):
-            n, points = len(values), self.domain.points
+            n, points = len(values), domain.points
             pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
             i, j = next((i, j) for i, j in pairs if abs(values[i] - values[j]) > rows[i][j])
             raise ValueError(
@@ -463,13 +451,18 @@ class ShortFunctional(_Exact):
     def from_mapping(
         cls, domain: FinMetricSpace, mapping: Mapping[Label, Fraction]
     ) -> "ShortFunctional":
-        unknown = [p for p in mapping if p not in domain._index]
-        if unknown:
-            raise ValueError(f"values name unknown points: {unknown!r}")
-        return cls(domain, tuple(mapping.get(p, 0) for p in domain.points))
+        return cls(domain, _by_label(domain, mapping, "values"))
 
     def __call__(self, point: Label) -> Fraction:
         return self.values[self.domain.index(point)]
+
+
+def _by_label(space: FinMetricSpace, mapping, name: str, zero=0) -> list:
+    """``mapping``'s values in the order of ``space.points``, ``zero`` where it has none."""
+    unknown = [p for p in mapping if p not in space._index]
+    if unknown:
+        raise ValueError(f"{name} name unknown points: {unknown!r}")
+    return [mapping.get(p, zero) for p in space.points]
 
 
 def _common(domain: FinMetricSpace, units, denom: int):

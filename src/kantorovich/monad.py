@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -12,7 +11,6 @@ from .metric import FinMetricSpace, ShortMap, _Exact, _OnFirstRead, _over, _redu
 from .transport import wasserstein_distance
 
 
-@dataclass(frozen=True, eq=False)
 class NestedMeasure(_Exact):
     """A finitely-supported measure over measures on a common base space.
 
@@ -24,26 +22,19 @@ class NestedMeasure(_Exact):
     hashed as for :class:`Measure`.
     """
 
-    base: FinMetricSpace
-    inner: tuple
-    weights: tuple = _OnFirstRead(lambda mu: _over((mu._units,), mu._denom)[0])
-    _kernel: InitVar[tuple | None] = None
-    _units: tuple = field(init=False, compare=False, repr=False)
-    _denom: int = field(init=False, compare=False, repr=False)
+    _fields = ("base", "inner", "weights")
+    weights = _OnFirstRead(lambda mu: _over((mu._units,), mu._denom)[0])
 
-    def __post_init__(self, _kernel):
-        inner = tuple(self.inner)
-        given = self.__dict__.pop("weights")
-        units, denom = _to_units(given) if _kernel is None else _kernel
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(self, "_denom", denom)
+    def __init__(self, base, inner, weights, _kernel=None):
+        inner = tuple(inner)
+        units, denom = _to_units(weights) if _kernel is None else _kernel
+        vars(self).update(base=base, inner=inner, _units=units, _denom=denom)
         if not inner:
             raise ValueError("a nested measure needs at least one inner measure")
         if len(inner) != len(units):
             raise ValueError("need exactly one weight per inner measure")
         for m in inner:
-            if m.space != self.base:
+            if m.space != base:
                 raise ValueError("all inner measures must live on the base space")
         if min(units) < 0:
             raise ValueError(f"negative weight {Fraction(next(x for x in units if x < 0), denom)}")

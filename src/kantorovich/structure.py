@@ -8,49 +8,43 @@ law suite checks all coherence conditions exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .measure import Measure, _image, dirac, pushforward
-from .metric import FinMetricSpace, Label, ShortMap, _first_long_pair, tensor
+from .metric import FinMetricSpace, Label, ShortMap, _Exact, _first_long_pair, tensor
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(_Exact):
     """A space together with a chosen probability measure on it."""
 
-    space: FinMetricSpace
-    measure: Measure
+    _fields = ("space", "measure")
 
-    def __post_init__(self):
-        if self.measure.space != self.space:
+    def __init__(self, space, measure):
+        vars(self).update(space=space, measure=measure)
+        if measure.space != space:
             raise ValueError("law measure must live on the law space")
 
 
-@dataclass(frozen=True)
-class InternalMonoid:
+class InternalMonoid(_Exact):
     """A monoid object: a short multiplication on a space with a unit point.
 
     Associativity and unitality are checked exhaustively over all triples
     and points at construction.
     """
 
-    carrier: FinMetricSpace
-    mult: ShortMap
-    unit: Label
+    _fields = ("carrier", "mult", "unit")
 
-    def __post_init__(self):
-        expected_domain = tensor(self.carrier, self.carrier)
-        if self.mult.domain != expected_domain or self.mult.codomain != self.carrier:
+    def __init__(self, carrier, mult, unit):
+        vars(self).update(carrier=carrier, mult=mult, unit=unit)
+        if mult.domain != tensor(carrier, carrier) or mult.codomain != carrier:
             raise ValueError("multiplication must map carrier x carrier to carrier")
-        self.carrier.index(self.unit)
-        op = self.mult
-        for x in self.carrier.points:
-            if op((self.unit, x)) != x or op((x, self.unit)) != x:
+        carrier.index(unit)
+        for x in carrier.points:
+            if mult((unit, x)) != x or mult((x, unit)) != x:
                 raise ValueError(f"unit law fails at {x!r}")
-            for y in self.carrier.points:
-                for z in self.carrier.points:
-                    if op((op((x, y)), z)) != op((x, op((y, z)))):
+            for y in carrier.points:
+                for z in carrier.points:
+                    if mult((mult((x, y)), z)) != mult((x, mult((y, z)))):
                         raise ValueError(
                             f"associativity fails at ({x!r}, {y!r}, {z!r})"
                         )

@@ -47,7 +47,6 @@ distances by its own common denominators.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt, lcm
@@ -76,7 +75,6 @@ def _dense(plan) -> tuple:
     return _over(grid, plan._scale)
 
 
-@dataclass(frozen=True, eq=False)
 class TransportPlan(_Exact):
     """A coupling certifying a transport cost between two measures.
 
@@ -97,24 +95,17 @@ class TransportPlan(_Exact):
     coupling that a solver got wrong is rejected however it was built.
     """
 
-    source: Measure
-    target: Measure
-    coupling: tuple = _OnFirstRead(_dense)
-    cost: Fraction
-    _kernel: InitVar[tuple | None] = None
-    _cells: tuple = field(init=False, compare=False, repr=False)
-    _scale: int = field(init=False, compare=False, repr=False)
+    _fields = ("source", "target", "coupling", "cost")
+    coupling = _OnFirstRead(_dense)
 
-    def __post_init__(self, _kernel):
-        given = self.__dict__.pop("coupling")
-        object.__setattr__(self, "cost", _as_fraction(self.cost))
-        source, target = self.source, self.target
+    def __init__(self, source, target, coupling, cost, _kernel=None):
+        cost = _as_fraction(cost)
         space = source.space
         if space != target.space:
             raise ValueError("coupling endpoints live on different spaces")
         n = len(space)
         if _kernel is None:
-            units, scale = _to_units(_flat(given, n, "coupling"))
+            units, scale = _to_units(_flat(coupling, n, "coupling"))
             # zero cells add nothing to a sum, so every check reads the others only
             _kernel = [(k // n, k % n, x) for k, x in enumerate(units) if x], scale
         cells, scale = _kernel
@@ -122,8 +113,7 @@ class TransportPlan(_Exact):
         cells = sorted(cells)
         units, scale = _reduced([x for _, _, x in cells], scale)
         cells = tuple((i, j, x) for (i, j, _), x in zip(cells, units))
-        object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "_scale", scale)
+        vars(self).update(source=source, target=target, cost=cost, _cells=cells, _scale=scale)
         if any(x < 0 for _, _, x in cells):
             raise ValueError("coupling entries must be nonnegative")
         rows, cols = [0] * n, [0] * n
@@ -142,9 +132,9 @@ class TransportPlan(_Exact):
                     )
         ints = space._ints
         total = sum(x * ints[i][j] for i, j, x in cells)
-        if total * self.cost.denominator != self.cost.numerator * scale * space._scale:
+        if total * cost.denominator != cost.numerator * scale * space._scale:
             raise ValueError(
-                f"stated cost {self.cost} differs from actual "
+                f"stated cost {cost} differs from actual "
                 f"{Fraction(total, scale * space._scale)}"
             )
 
@@ -152,8 +142,7 @@ class TransportPlan(_Exact):
         return self._scale, self._cells, self.source, self.target
 
 
-@dataclass(frozen=True)
-class DualWitness:
+class DualWitness(_Exact):
     """A short functional certifying optimality of a transport plan.
 
     For the plan between p and q it satisfies
@@ -161,7 +150,10 @@ class DualWitness:
     which together with shortness proves the plan cost cannot be beaten.
     """
 
-    potential: ShortFunctional
+    _fields = ("potential",)
+
+    def __init__(self, potential):
+        vars(self).update(potential=potential)
 
 
 def _solve_transportation(costs, supplies, demands):

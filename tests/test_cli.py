@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -348,6 +349,29 @@ class TestJointSizeLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "space of 144 points" in captured.err and "MAX_POINTS" in captured.err
+
+
+def test_long_denominators_exit_2_quickly(tmp_path, capsys):
+    # 24 points at distances (q + 1)/q, q running over consecutive 1,000-digit
+    # ints: a 1.1 MB workspace whose distances have a common denominator of
+    # 915,254 bits, and which took seconds to check before the limit
+    qs = iter(range(10**999, 10**999 + 276))
+    dist = [["0"] * 24 for _ in range(24)]
+    for i in range(24):
+        for j in range(i + 1, 24):
+            q = next(qs)
+            dist[i][j] = dist[j][i] = f"{q + 1}/{q}"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"spaces": {"X": {"points": [f"x{i}" for i in range(24)], "dist": dist}}}))
+    start = time.perf_counter()
+    assert main(["validate", "--workspace", str(path)]) == 2
+    assert time.perf_counter() - start < 2
+    bits = 1 + 276 * (10**999).bit_length()  # the diagonal's denominator 1 has 1 bit
+    assert capsys.readouterr() == (
+        "",
+        f"error: {path}: space 'X': denominators of {bits} bits in all are over the limit of "
+        f"{jsonio.MAX_DENOMINATOR_BITS} bits (kantorovich.jsonio.MAX_DENOMINATOR_BITS)\n",
+    )
 
 
 class TestMarginalsCommand:

@@ -4,7 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from kantorovich import check_law, identity, product, tensor, uniform, unit_nested
+from kantorovich import (
+    FinMetricSpace,
+    Measure,
+    NestedMeasure,
+    ShortFunctional,
+    check_law,
+    identity,
+    product,
+    tensor,
+    uniform,
+    unit_nested,
+)
 from kantorovich.generate import (
     cyclic_monoid,
     random_functional,
@@ -357,3 +368,117 @@ class TestSizeLimit:
     def test_space_parts_must_be_lists(self, obj):
         with pytest.raises(ValueError, match="list of points"):
             jsonio.space_from_json(obj)
+
+
+# A 4,000-digit numerator, near Python's default limit of 4,300 digits for
+# converting between int and str.
+BIG = Fraction(int("7" * 4000), 3)
+BIG_TEXT = f"{'7' * 4000}/3"
+
+
+class TestIntBoundary:
+    """Rationals are read as ints; the objects equal their Fraction-built twins."""
+
+    SPACE = {
+        "points": ["a", "b", "c"],
+        "dist": [["-0", "007/010", BIG_TEXT], ["14/20", 0, BIG_TEXT], [BIG_TEXT, BIG_TEXT, "000"]],
+    }
+
+    def twin_space(self):
+        d = Fraction(7, 10)
+        return FinMetricSpace(("a", "b", "c"), ((0, d, BIG), (d, 0, BIG), (BIG, BIG, 0)))
+
+    def decoded_and_twins(self):
+        space, twin = jsonio.space_from_json(self.SPACE), self.twin_space()
+        halves = {"a": "2/4", "b": "-0", "c": "001/2"}
+        measure = jsonio.measure_from_json({"space": self.SPACE, "weights": halves})
+        measure_twin = Measure(twin, (Fraction(1, 2), 0, Fraction(1, 2)))
+        values = {"a": "-0", "b": "007/014", "c": BIG_TEXT}
+        functional = jsonio.functional_from_json({"domain": self.SPACE, "values": values})
+        other = {"space": self.SPACE, "weights": {"b": 1}}
+        nested = {"base": self.SPACE, "inner": [{"space": self.SPACE, "weights": halves}, other], "weights": ["2/4", "007/014"]}
+        inner_twins = (measure_twin, Measure(twin, (0, 1, 0)))
+        return [
+            (space, twin),
+            (measure, measure_twin),
+            (functional, ShortFunctional(twin, (0, Fraction(1, 2), BIG))),
+            (jsonio.nested_from_json(nested), NestedMeasure(twin, inner_twins, ("1/2", "1/2"))),
+            (jsonio.space_from_json({"tensor": [self.SPACE, self.SPACE]}), tensor(twin, twin)),
+        ]
+
+    def test_decoded_objects_equal_their_fraction_twins(self):
+        for decoded, twin in self.decoded_and_twins():
+            assert decoded == twin and hash(decoded) == hash(twin)
+            assert decoded._key() == twin._key()
+            assert jsonio.value_to_json(decoded) == jsonio.value_to_json(twin)
+
+    def test_output_is_canonical(self):
+        space, measure, functional, nested, _ = (d for d, _ in self.decoded_and_twins())
+        assert jsonio.space_to_json(space)["dist"][0] == ["0/1", "7/10", BIG_TEXT]
+        assert jsonio.measure_to_json(measure)["weights"] == {"a": "1/2", "c": "1/2"}
+        assert jsonio.functional_to_json(functional)["values"] == {"a": "0/1", "b": "1/2", "c": BIG_TEXT}
+        assert jsonio.nested_to_json(nested)["weights"] == ["1/2", "1/2"]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("one half", """bad rational 'one half': expected "p/q" or an integer"""),
+            ("1/0", "bad rational '1/0': zero denominator"),
+            ("-0/00", "bad rational '-0/00': zero denominator"),
+            (True, "expected a rational string, got True"),
+            (0.5, "expected a rational string, got 0.5"),
+        ],
+    )
+    def test_parse_errors_keep_their_text(self, value, message):
+        decoders = [
+            lambda: jsonio.parse_fraction(value),
+            lambda: jsonio.space_from_json({"points": ["a"], "dist": [[value]]}),
+            lambda: jsonio.measure_from_json({"space": self.SPACE, "weights": {"a": value}}),
+            lambda: jsonio.functional_from_json({"domain": self.SPACE, "values": {"a": value}}),
+            lambda: jsonio.nested_from_json({"base": self.SPACE, "inner": [], "weights": [value]}),
+        ]
+        for decode in decoders:
+            with pytest.raises(ValueError) as caught:
+                decode()
+            assert str(caught.value) == message
+
+
+class TestDenominatorBits:
+    """The distinct denominators of one object have at most MAX_DENOMINATOR_BITS bits in all."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        # 1, 2 and 5 have 1, 2 and 3 bits: AT_LIMIT is exactly at a limit of 6
+        monkeypatch.setattr(jsonio, "MAX_DENOMINATOR_BITS", 6)
+
+    AT_LIMIT = {"points": ["a", "b", "c"], "dist": [["0", "1/2", "1/5"], ["1/2", "0", "1/2"], ["1/5", "1/2", "0"]]}
+
+    def over(self, decode, obj):
+        with pytest.raises(ValueError) as caught:
+            decode(obj)
+        assert str(caught.value) == (
+            "denominators of 7 bits in all are over the limit of 6 bits "
+            "(kantorovich.jsonio.MAX_DENOMINATOR_BITS)"
+        )
+
+    def test_space(self):
+        # the check is on the denominators as written, before any reduction
+        assert jsonio.space_from_json(self.AT_LIMIT)._scale == 10
+        self.over(jsonio.space_from_json, {"points": ["a", "b"], "dist": [["0", "1/2"], ["4/8", "0"]]})
+
+    def test_measure_functional_and_nested(self):
+        line = {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}
+        weights = {"a": "1/4", "b": "3/10"}
+        self.over(jsonio.measure_from_json, {"space": line, "weights": weights})
+        self.over(jsonio.functional_from_json, {"domain": line, "values": weights})
+        fair = {"space": line, "weights": {"a": "1/2", "b": "1/2"}}
+        inner = [fair, {"space": line, "weights": {"a": "1"}}]
+        self.over(jsonio.nested_from_json, {"base": line, "inner": inner, "weights": ["1/4", "3/10"]})
+
+    def test_tensor_of_factors_within_the_limit(self):
+        thirds = {"points": ["a", "b"], "dist": [["0", "1/3"], ["1/3", "0"]]}
+        fifths = {"points": ["a", "b"], "dist": [["0", "1/5"], ["1/5", "0"]]}
+        sevenths = {"points": ["a", "b"], "dist": [["0", "1/7"], ["1/7", "0"]]}
+        # the factors' scales 3 and 5 have 5 bits; 7 and 10 have 7
+        assert jsonio.space_from_json({"tensor": [thirds, fifths]})._scale == 15
+        self.over(jsonio.space_from_json, {"tensor": [sevenths, self.AT_LIMIT]})

@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -501,11 +500,10 @@ class TestIntegerKernel:
         assert exact == parsed and hash(exact) == hash(parsed)
         assert repr(exact) == repr(parsed)
         assert "_ints" not in repr(exact) and "_scale" not in repr(exact)
-        assert {f.name for f in fields(FinMetricSpace) if f.compare or f.repr} == {
-            "points",
-            "dist",
-            "factors",
-        }
+        assert repr(exact) == (
+            "FinMetricSpace(points=('a', 'b'), dist=((Fraction(0, 1), Fraction(3, 2)), "
+            "(Fraction(3, 2), Fraction(0, 1))), factors=None)"
+        )
 
     @settings(max_examples=300)
     @given(_pool_spaces(), _pool_spaces())

@@ -11,9 +11,11 @@ keep nothing else, and objects computed from other objects (tensors,
 generated spaces, joints, closures, nested measures) hand their ints,
 reduced by ``_reduced``, to construction directly. Its checks, their error
 messages, its equality and its hash read those ints: the triangle
-inequality is tested on every triple, and the Lipschitz bound on every pair,
-one C-level pass per point or pair, and a failing check names its first
-violation with ``Fraction``s made from the ints it tested. The public
+inequality is tested on every triple of a space, except that a tensor
+space is certified in quadratic time by its already checked factors, and
+the Lipschitz bound is tested on every pair, one C-level pass per point or
+pair; a failing check names its first violation with ``Fraction``s made
+from the ints it tested. The public
 ``Fraction`` table (``dist``, ``values``, ``weights``, ``coupling``) is made
 on first read, one ``Fraction`` per distinct value, and kept. Values are
 immutable after construction; every operation is a pure function.
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, eq
 from typing import Hashable, Iterable, Mapping
 
 Label = Hashable
@@ -103,8 +105,9 @@ class FinMetricSpace(_Exact):
 
     Construction validates the full set of metric axioms: zero diagonal,
     strict positivity off the diagonal (genuine metric, not pseudometric),
-    symmetry, and the triangle inequality over all triples. Distinct points
-    at distance zero are rejected, never quotiented.
+    symmetry, and the triangle inequality over all triples; a space whose
+    distances are the sum of its two ``factors`` has them from its factors.
+    Distinct points at distance zero are rejected, never quotiented.
 
     ``factors`` records how a space was built by :func:`tensor`; it is
     construction metadata and takes no part in equality or hashing. Factors
@@ -166,12 +169,31 @@ class FinMetricSpace(_Exact):
 def _check_axioms(space: FinMetricSpace) -> None:
     """Raise on the first metric axiom that the space's ``_ints`` breaks.
 
-    One pass per row tests its diagonal entry, then its other entries for
+    A space whose ``factors`` are two spaces and whose ints are their sum
+    metric in row-major pair order, over a scale that is a multiple of both
+    factor scales, is certified by them: a sum of two metrics on a product of
+    point sets is a metric, and the factors passed these checks when they
+    were built. That test compares whole rows at C speed, O(n^2) in all,
+    and holds for every space that ``tensor`` builds. Every other space,
+    including one whose given ``factors`` do not add up, is checked in full:
+    one pass per row tests its diagonal entry, then its other entries for
     positivity and the row against its column for symmetry at C speed; only
-    a failing row is scanned for its first bad column. The messages give the
-    exact values as ``Fraction``s of the ints that were tested.
+    a failing row is scanned for its first bad column; then the triangle
+    inequality is tested on every triple. The messages give the exact values
+    as ``Fraction``s of the ints that were tested.
     """
-    points, ints, scale = space.points, space._ints, space._scale
+    points, ints, scale, factors = space.points, space._ints, space._scale, space.factors
+    # sizes first: map stops at the shorter side, and factors too large for
+    # the space would build rows for nothing
+    if (
+        isinstance(factors, tuple)
+        and len(factors) == 2
+        and all(isinstance(f, FinMetricSpace) for f in factors)
+        and len(factors[0]) * len(factors[1]) == len(ints)
+        and not (scale % factors[0]._scale or scale % factors[1]._scale)
+        and all(map(eq, ints, _sum_rows(*factors, scale)))
+    ):
+        return
     n = len(ints)
     columns = tuple(zip(*ints))
     for i, row in enumerate(ints):
@@ -269,11 +291,20 @@ def tensor(x: FinMetricSpace, y: FinMetricSpace) -> FinMetricSpace:
 def _tensor(x, y, x_shape, y_shape):
     points = tuple((a, b) for a in x.points for b in y.points)
     scale = lcm(x._scale, y._scale)
+    return FinMetricSpace._from_ints(points, _sum_rows(x, y, scale), scale, factors=(x, y))
+
+
+def _sum_rows(x: FinMetricSpace, y: FinMetricSpace, scale: int):
+    """The int rows of the sum metric on x times y over ``scale``, a multiple of both scales.
+
+    The rows come one at a time, so the certificate holds one row beside the
+    space: holding the whole matrix raised the law suite's peak RSS by about
+    0.3 MB.
+    """
     sx, sy = scale // x._scale, scale // y._scale
     x_rows = [[d * sx for d in row] for row in x._ints]
     y_rows = [[d * sy for d in row] for row in y._ints]
-    sums = [[a + b for a in xr for b in yr] for xr in x_rows for yr in y_rows]
-    return FinMetricSpace._from_ints(points, sums, scale, factors=(x, y))
+    return (tuple([a + b for a in xr for b in yr]) for xr in x_rows for yr in y_rows)
 
 
 tensor.cache_info = _tensor.cache_info

@@ -12,11 +12,15 @@ _distances = st.fractions(
 
 
 @st.composite
-def metric_spaces(draw, min_points=2, max_points=4, prefix="s"):
-    """Symmetric positive matrices repaired by shortest-path closure."""
+def metric_spaces(draw, min_points=2, max_points=4, prefix="s", distances=_distances):
+    """Symmetric positive matrices repaired by shortest-path closure.
+
+    The closure adds distances, so entries drawn as multiples of one
+    fraction stay multiples of it.
+    """
     n = draw(st.integers(min_value=min_points, max_value=max_points))
     k = n * (n - 1) // 2
-    upper = draw(st.lists(_distances, min_size=k, max_size=k))
+    upper = draw(st.lists(distances, min_size=k, max_size=k))
     dist = [[Fraction(0)] * n for _ in range(n)]
     it = iter(upper)
     for i in range(n):

@@ -282,6 +282,12 @@ def test_numerators_refuse_an_empty_range():
 SUITE_DIGEST = "08888f35eee19c91dc4e4251c0ea5217517e6a31cf3e9e84db4faaf6c0e2dfe7"
 SIDES_DIGEST = "4572c8c6e086e2528ff3cc6fb470fc3caba56d240e9b798a5cd3bdd88df77862"
 
+# A larger tier than DEFAULT_BUDGET: spaces of up to 12 points, factors of up
+# to 6, numerators of up to 256. Its digest was recorded before tensor spaces
+# were certified by their factors, so that change left the report unchanged.
+LARGE_BUDGET = SizeBudget(max_points=12, max_factor_points=6, max_numerator=256)
+LARGE_DIGEST = "81a5653a0f72b0f91ec3e47c341218241a843e64eb45723d2184252b6de0f708"
+
 LAW_IDS = [
     "affine_terminal",
     "bimonoidality_square",
@@ -327,6 +333,12 @@ def _sha256(payload):
 
 def test_suite_report_golden_digest():
     assert _sha256(run_suite(seed=42, cases=5).to_json()) == SUITE_DIGEST
+
+
+def test_suite_passes_at_the_larger_budget():
+    report = run_suite(seed=42, cases=20, budget=LARGE_BUDGET)
+    assert report.all_passed()
+    assert _sha256(report.to_json()) == LARGE_DIGEST
 
 
 def test_suite_report_does_not_depend_on_the_tensor_cache():

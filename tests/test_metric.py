@@ -123,6 +123,52 @@ class TestTensor:
         given = FinMetricSpace(aa.points, aa.dist, factors=(a, a))
         assert given == aa and given.factors == (a, a)
         assert marginals(uniform(given)) == (uniform(a), uniform(a))
+        # neither a sum of the factors nor a metric: the full check runs and
+        # raises its own first error, as for a space given no factors
+        half = FinMetricSpace(a.points, ((0, Fraction(1, 2)), (Fraction(1, 2), 0)))
+        triangle = [[0, 1, 1, 5], [1, 0, 2, 1], [1, 2, 0, 1], [5, 1, 1, 0]]
+        # the sum of (half, a) if half's distances were floored to whole numbers
+        floored = [[int(i % 2 != j % 2) for j in range(4)] for i in range(4)]
+        for dist, factors, start in [
+            (triangle, (a, a), "triangle inequality violated: "),
+            (triangle, [a, a], "triangle inequality violated: "),
+            (floored, (half, a), "distinct points "),
+        ]:
+            message = _reference_axiom_error(aa.points, dist)
+            assert message.startswith(start)
+            for build in (
+                lambda: FinMetricSpace(aa.points, dist),
+                lambda: FinMetricSpace(aa.points, dist, factors=factors),
+                lambda: FinMetricSpace._from_ints(aa.points, dist, 1, factors=factors),
+            ):
+                with pytest.raises(ValueError) as info:
+                    build()
+                assert str(info.value) == message
+
+    @settings(max_examples=60)
+    @given(
+        metric_spaces(1, 3, "h", st.integers(1, 8).map(lambda k: Fraction(k, 2))),
+        metric_spaces(1, 3, "t", st.integers(1, 8).map(lambda k: Fraction(k, 3))),
+        metric_spaces(1, 3, "s"),
+    )
+    def test_tensor_is_the_space_the_full_check_builds(self, halves, thirds, other):
+        one = terminal()
+        for left, right in [
+            (halves, thirds),
+            (thirds, halves),
+            (other, one),
+            (one, other),
+            (tensor(halves, thirds), other),
+            (other, tensor(thirds, one)),
+            (tensor(one, halves), tensor(other, thirds)),
+        ]:
+            product = tensor(left, right)
+            plain = FinMetricSpace(product.points, product.dist)
+            assert (product.points, product._ints, product._scale) == (
+                plain.points,
+                plain._ints,
+                plain._scale,
+            )
 
     def test_cache_counts_calls_and_hits(self, two_point, bit_space):
         before = tensor.cache_info()

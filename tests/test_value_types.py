@@ -173,13 +173,15 @@ def test_attributes_cannot_be_set_or_deleted(cls, build, parameters, text):
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_law_suite():
-    # every CLI call pays for what this import loads
+    # every CLI call pays for what this import loads; -I ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the child from writing .pyc files into src
     src = os.path.dirname(os.path.dirname(os.path.abspath(kantorovich.__file__)))
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import kantorovich.cli; "
+        f"import sys; assert sys.flags.dont_write_bytecode; sys.path.insert(0, {src!r}); "
+        "import kantorovich.cli; "
         "print(sorted({'dataclasses', 'inspect', 'kantorovich.laws'} & set(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

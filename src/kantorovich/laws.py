@@ -14,7 +14,6 @@ recorded in the report together with the first counterexample.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -919,14 +918,14 @@ def check_law(law_id: str, instance) -> CheckOutcome:
     checker raises is passed on, where a report records it as ``error``.
     """
     entry = _entry(law_id)
-    fields = list(inspect.signature(entry.check).parameters)
+    template = entry.generate(_law_rng(0, law_id), DEFAULT_BUDGET)
+    fields = list(template)
     if sorted(instance) != sorted(fields):
         raise ValueError(f"law {law_id!r} takes fields {fields}, got {sorted(instance)}")
     if instance and all(
         isinstance(v, dict) and "type" in v for v in instance.values()
     ):
         instance = jsonio.instance_from_json(instance)
-    template = entry.generate(_law_rng(0, law_id), DEFAULT_BUDGET)
     for name in fields:
         expected, given = _kind(template[name]), _kind(instance[name])
         if given != expected:

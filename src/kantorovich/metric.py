@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm
 from operator import add, eq
 from typing import Hashable, Iterable, Mapping
@@ -110,9 +110,8 @@ class FinMetricSpace(_Exact):
     Distinct points at distance zero are rejected, never quotiented.
 
     ``factors`` records how a space was built by :func:`tensor`; it is
-    construction metadata and takes no part in equality or hashing. Factors
-    given to the public constructor must be two spaces whose tensor equals
-    the space.
+    construction metadata and takes no part in equality or hashing. Given
+    factors must be two spaces whose tensor equals the space.
     ``_ints`` is ``dist`` scaled to integers by ``_scale``, the least common
     denominator of its entries; the axioms are checked on it, and so are
     map shortness, functional shortness and the transport costs. That form
@@ -136,13 +135,7 @@ class FinMetricSpace(_Exact):
         units, scale = _to_units(table) if public else _reduced(table, _kernel[1])
         ints = tuple(units[i : i + n] for i in range(0, n * n, n))
         vars(self).update(points=points, factors=factors, _index=index, _ints=ints, _scale=scale)
-        _check_axioms(self)
-        # tensor passes factors with a kernel; given ones must build this space
-        if public and factors is not None and not (
-            len(factors) == 2
-            and all(isinstance(x, FinMetricSpace) for x in factors)
-            and tensor(*factors) == self
-        ):
+        if not _check_axioms(self) and factors is not None:
             raise ValueError("factors must be two spaces whose tensor is this space")
 
     @classmethod
@@ -166,17 +159,19 @@ class FinMetricSpace(_Exact):
         return self.dist[self.index(a)][self.index(b)]
 
 
-def _check_axioms(space: FinMetricSpace) -> None:
+def _check_axioms(space: FinMetricSpace) -> bool:
     """Raise on the first metric axiom that the space's ``_ints`` breaks.
 
-    A space whose ``factors`` are two spaces and whose ints are their sum
-    metric in row-major pair order, over a scale that is a multiple of both
-    factor scales, is certified by them: a sum of two metrics on a product of
-    point sets is a metric, and the factors passed these checks when they
-    were built. That test compares whole rows at C speed, O(n^2) in all,
-    and holds for every space that ``tensor`` builds. Every other space,
-    including one whose given ``factors`` do not add up, is checked in full:
-    one pass per row tests its diagonal entry, then its other entries for
+    Return whether the space is certified by its ``factors``: a tuple or
+    list of two spaces whose row-major pairs of points are its points and
+    whose sum metric, over a scale that is a multiple of both factor scales,
+    is its ints. That is exactly when the space is their tensor, and a sum
+    of two metrics on a product of point sets is a metric, as the factors
+    passed these checks when they were built. The test compares whole rows
+    at C speed, O(n^2) in all, and holds for every space that ``tensor``
+    builds. Every other space, including one whose given ``factors`` do not
+    add up, is checked in full, and False is returned if it passes: one
+    pass per row tests its diagonal entry, then its other entries for
     positivity and the row against its column for symmetry at C speed; only
     a failing row is scanned for its first bad column; then the triangle
     inequality is tested on every triple. The messages give the exact values
@@ -186,14 +181,15 @@ def _check_axioms(space: FinMetricSpace) -> None:
     # sizes first: map stops at the shorter side, and factors too large for
     # the space would build rows for nothing
     if (
-        isinstance(factors, tuple)
+        isinstance(factors, (tuple, list))
         and len(factors) == 2
         and all(isinstance(f, FinMetricSpace) for f in factors)
         and len(factors[0]) * len(factors[1]) == len(ints)
         and not (scale % factors[0]._scale or scale % factors[1]._scale)
+        and all(map(eq, points, product(factors[0].points, factors[1].points)))
         and all(map(eq, ints, _sum_rows(*factors, scale)))
     ):
-        return
+        return True
     n = len(ints)
     columns = tuple(zip(*ints))
     for i, row in enumerate(ints):
@@ -219,6 +215,7 @@ def _check_axioms(space: FinMetricSpace) -> None:
                     f"d({points[i]!r},{points[k]!r}) + d({points[k]!r},{points[j]!r}) = "
                     f"{Fraction(row[k] + ints[k][j], scale)}"
                 )
+    return False
 
 
 def _over(rows, scale: int) -> tuple:

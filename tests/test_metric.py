@@ -145,6 +145,34 @@ class TestTensor:
                     build()
                 assert str(info.value) == message
 
+    def test_factors_that_build_the_space_are_kept_as_given(self):
+        half = FinMetricSpace(("kept-h0", "kept-h1"), ((0, Fraction(1, 2)), (Fraction(1, 2), 0)))
+        third = FinMetricSpace(("kept-t0", "kept-t1"), ((0, Fraction(1, 3)), (Fraction(1, 3), 0)))
+        both = tensor(half, third)
+        for factors in ((half, third), [half, third]):
+            for given in (
+                FinMetricSpace(both.points, both.dist, factors=factors),
+                FinMetricSpace._from_ints(both.points, both._ints, both._scale, factors=factors),
+            ):
+                assert given == both and given.factors == factors
+
+    def test_factors_must_build_the_points_too(self):
+        a = FinMetricSpace(("label-a0", "label-a1"), ((0, 1), (1, 0)))
+        aa = tensor(a, a)
+        # the pairs of a x a listed column-major: the distances still add up
+        # under the new labels, but the tensor lists its pairs row-major
+        swapped = [(q, p) for p, q in aa.points]
+        assert swapped != list(aa.points)
+        ones = tuple(tuple(int(i != j) for j in range(4)) for i in range(4))
+        for points, ints in ((swapped, aa._ints), (aa.points, ones)):
+            for build in (
+                lambda: FinMetricSpace(points, ints, factors=(a, a)),
+                lambda: FinMetricSpace._from_ints(points, ints, aa._scale, factors=(a, a)),
+            ):
+                with pytest.raises(ValueError, match="factors must be two spaces"):
+                    build()
+            assert FinMetricSpace._from_ints(points, ints, aa._scale).factors is None
+
     @settings(max_examples=60)
     @given(
         metric_spaces(1, 3, "h", st.integers(1, 8).map(lambda k: Fraction(k, 2))),

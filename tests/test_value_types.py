@@ -174,14 +174,21 @@ def test_attributes_cannot_be_set_or_deleted(cls, build, parameters, text):
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_law_suite():
     # every CLI call pays for what this import loads; -I ignores
-    # PYTHONDONTWRITEBYTECODE, so -B keeps the child from writing .pyc files into src
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the child from writing .pyc files into src.
+    # The same child, with the standard library alone and warnings as errors,
+    # then loads the law suite and runs it.
     src = os.path.dirname(os.path.dirname(os.path.abspath(kantorovich.__file__)))
     code = (
-        f"import sys; assert sys.flags.dont_write_bytecode; sys.path.insert(0, {src!r}); "
-        "import kantorovich.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'kantorovich.laws'} & set(sys.modules)))"
+        "import sys; assert sys.flags.dont_write_bytecode and sys.warnoptions == ['error']; "
+        f"sys.path.insert(0, {src!r}); import kantorovich.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'kantorovich.laws'} & set(sys.modules))); "
+        "import kantorovich.laws, kantorovich.generate; from kantorovich import run_suite; "
+        "assert run_suite(42, 2).all_passed()"
     )
     done = subprocess.run(
-        [sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-B", "-W", "error", "-I", "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -64,26 +64,31 @@ class _NamedError(ValueError):
 
 
 class Workspace:
-    """Named registry of validated objects loaded from JSON files."""
+    """Named registry of validated objects loaded from JSON files.
+
+    Both tables are keyed by ``(kind, name)``: ``_defs`` holds each
+    definition with its file, ``_objects`` each decoded object, and None
+    for one still being decoded, so a reference back to it is a cycle.
+    """
 
     def __init__(self):
-        self._raw = {section: {} for section in _SECTIONS.values()}
-        self._files = {}
-        self._cache = {section: {} for section in _SECTIONS.values()}
-        self._visiting = set()
+        self._defs = {}
+        self._objects = {}
         self.counts = {}
 
     @classmethod
     def load(cls, paths) -> "Workspace":
         """Merge the files and validate every named object before returning.
 
-        Input nested deeper than Python's recursion limit in the JSON text
-        and a key repeated in one JSON object are ValueErrors naming their
-        file. Any error in reading or checking a named object, depth
-        included, names its file and the innermost named object, as
-        ``<file>: <kind> '<name>': <message>``.
+        Objects are decoded kind by kind in ``_SECTIONS`` order, names sorted,
+        and ``counts`` gives the number of each section. Input nested deeper
+        than Python's recursion limit in the JSON text and a key repeated in
+        one JSON object are ValueErrors naming their file. Any error in
+        reading or checking a named object, depth included, names its file
+        and the innermost named object, as ``<file>: <kind> '<name>': <message>``.
         """
         ws = cls()
+        kinds = {section: kind for kind, section in _SECTIONS.items()}
         for path in paths or ():
             with open(path, "r", encoding="utf-8") as handle:
                 try:
@@ -96,51 +101,45 @@ class Workspace:
                     raise ValueError(f"{path}: input nested too deeply") from None
             if not isinstance(data, dict):
                 raise ValueError(f"{path}: workspace must be a JSON object")
-            unknown = set(data) - set(ws._raw)
+            unknown = set(data) - set(kinds)
             if unknown:
                 raise ValueError(f"{path}: unknown sections {sorted(unknown)}")
             for section, entries in data.items():
                 if not isinstance(entries, dict):
                     raise ValueError(f"{path}: section {section!r} must map names to objects")
                 for name, obj in entries.items():
-                    if name in ws._raw[section]:
+                    if (kinds[section], name) in ws._defs:
                         raise ValueError(
                             f"{path}: duplicate {section} name {name!r} across workspace files"
                         )
-                    ws._raw[section][name] = obj
-                    ws._files[section, name] = path
-        ws.counts = ws.validate_all()
+                    ws._defs[kinds[section], name] = obj, path
+        for kind, section in _SECTIONS.items():
+            names = sorted(name for of, name in ws._defs if of == kind)
+            for name in names:
+                ws.resolve(kind, name)
+            ws.counts[section] = len(names)
         return ws
 
     def resolve(self, kind: str, name: str):
-        section = _SECTIONS[kind]
-        if name in self._cache[section]:
-            return self._cache[section][name]
-        if name not in self._raw[section]:
+        key = (kind, name)
+        if key not in self._defs:
             raise ValueError(f"unknown {kind} {name!r}")
-        key = (section, name)
-        if key in self._visiting:
-            raise ValueError(f"circular reference through {kind} {name!r}")
-        self._visiting.add(key)
+        if key in self._objects:
+            if self._objects[key] is None:
+                raise ValueError(f"circular reference through {kind} {name!r}")
+            return self._objects[key]
+        definition, path = self._defs[key]
+        self._objects[key] = None
         try:
-            obj = jsonio._KINDS[kind][2](self._raw[section][name], self.resolve)
+            self._objects[key] = jsonio._KINDS[kind][2](definition, self.resolve)
         except _NamedError:
             raise
         except ValueError as exc:
-            raise _NamedError(f"{self._files[key]}: {kind} {name!r}: {exc}") from None
+            raise _NamedError(f"{path}: {kind} {name!r}: {exc}") from None
         finally:
-            self._visiting.discard(key)
-        self._cache[section][name] = obj
-        return obj
-
-    def validate_all(self):
-        """Force every named object through its construction checks; count them by section."""
-        counts = {}
-        for kind, section in _SECTIONS.items():
-            for name in sorted(self._raw[section]):
-                self.resolve(kind, name)
-            counts[section] = len(self._raw[section])
-        return counts
+            if self._objects[key] is None:
+                del self._objects[key]
+        return self._objects[key]
 
 
 def _bool(verdict):

@@ -844,6 +844,8 @@ def run_law(law_id: str, seed: int, cases: int, budget: SizeBudget = DEFAULT_BUD
     raised) and the error as ``"<Type>: <message>"``.
     """
     entry = _entry(law_id)
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
     rng = _law_rng(seed, law_id)
     runs = 1 if entry.expected_counterexample else cases
     failures = 0
@@ -888,8 +890,6 @@ def run_suite(
     law_ids = sorted(CATALOG if law_ids is None else law_ids)
     for law_id in law_ids:
         _entry(law_id)
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
     report = LawReport(seed=seed, cases=cases, budget=budget)
     for law_id in law_ids:
         report.entries[law_id] = run_law(law_id, seed, cases, budget)

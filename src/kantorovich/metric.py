@@ -111,7 +111,8 @@ class FinMetricSpace(_Exact):
 
     ``factors`` records how a space was built by :func:`tensor`; it is
     construction metadata and takes no part in equality or hashing. Given
-    factors must be two spaces whose tensor equals the space.
+    factors must be two spaces whose tensor equals the space; a list of them
+    is kept as a tuple.
     ``_ints`` is ``dist`` scaled to integers by ``_scale``, the least common
     denominator of its entries; the axioms are checked on it, and so are
     map shortness, functional shortness and the transport costs. That form
@@ -134,6 +135,8 @@ class FinMetricSpace(_Exact):
         table = _flat(dist if public else _kernel[0], n, "distance matrix")
         units, scale = _to_units(table) if public else _reduced(table, _kernel[1])
         ints = tuple(units[i : i + n] for i in range(0, n * n, n))
+        if isinstance(factors, list):
+            factors = tuple(factors)
         vars(self).update(points=points, factors=factors, _index=index, _ints=ints, _scale=scale)
         if not _check_axioms(self) and factors is not None:
             raise ValueError("factors must be two spaces whose tensor is this space")
@@ -162,10 +165,10 @@ class FinMetricSpace(_Exact):
 def _check_axioms(space: FinMetricSpace) -> bool:
     """Raise on the first metric axiom that the space's ``_ints`` breaks.
 
-    Return whether the space is certified by its ``factors``: a tuple or
-    list of two spaces whose row-major pairs of points are its points and
-    whose sum metric, over a scale that is a multiple of both factor scales,
-    is its ints. That is exactly when the space is their tensor, and a sum
+    Return whether the space is certified by its ``factors``: a tuple of two
+    spaces whose row-major pairs of points are its points and whose sum
+    metric, over a scale that is a multiple of both factor scales, is its
+    ints. That is exactly when the space is their tensor, and a sum
     of two metrics on a product of point sets is a metric, as the factors
     passed these checks when they were built. The test compares whole rows
     at C speed, O(n^2) in all, and holds for every space that ``tensor``
@@ -181,7 +184,7 @@ def _check_axioms(space: FinMetricSpace) -> bool:
     # sizes first: map stops at the shorter side, and factors too large for
     # the space would build rows for nothing
     if (
-        isinstance(factors, (tuple, list))
+        isinstance(factors, tuple)
         and len(factors) == 2
         and all(isinstance(f, FinMetricSpace) for f in factors)
         and len(factors[0]) * len(factors[1]) == len(ints)

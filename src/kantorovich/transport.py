@@ -7,9 +7,10 @@ weights over one common denominator, so pricing and pivots run on Python
 ints, and the spanning tree of basic cells with its node potentials is kept
 from one pivot to the next.
 
-Pricing is block search (Király & Kovács 2012): a scan prices whole rows,
-about √(m·k) cells a block, starting where the last scan stopped, and
-brings in the most negative reduced cost of the first block that has one.
+Pricing scans one row at a time, a block search (Király & Kovács 2012)
+whose blocks are single rows: rows go in cyclic order from the one after
+the last entering row, and the first row with a negative reduced cost
+brings in its most negative cell.
 
 Cycling is ruled out by perturbation (Orden 1956; Ahuja, Magnanti & Orlin
 1993, ch. 11). With M = 2m + 1, every mass is scaled by M, 1 is added to
@@ -48,8 +49,8 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import repeat
-from math import isqrt, lcm
+from itertools import chain, repeat
+from math import lcm
 from operator import add, sub
 
 from .measure import Measure, integrate
@@ -167,10 +168,10 @@ def _solve_transportation(costs, supplies, demands):
     (rows, then columns). ``flow[x]`` is the perturbed flow on the cell
     joining node x to its parent, and ``u[i] + v[j] == costs[i][j]`` holds on
     every basic cell with u[0] = 0. Entering cell: the most negative reduced
-    cost in the first block of rows that has one, the blocks scanned
-    cyclically from the row after the last block. Leaving cell: the one
-    minus cell of the pivot cycle whose flow is minimal. ``flows`` maps each
-    basic cell to its true flow, and ``pivots`` counts the pivots.
+    cost in the first row that has a negative one, the rows scanned
+    cyclically from the one after the last entering row. Leaving cell: the
+    one minus cell of the pivot cycle whose flow is minimal. ``flows`` maps
+    each basic cell to its true flow, and ``pivots`` counts the pivots.
     """
     m, k = len(supplies), len(demands)
     big = 2 * m + 1
@@ -210,23 +211,17 @@ def _solve_transportation(costs, supplies, demands):
             j += 1
             node, other = m + j, i
 
-    # about √(m·k) cells a block, whole rows of k cells each
-    block = max(1, isqrt(m * k) // k)
     start = pivots = 0
     while True:
         # basic cells price to exactly 0, so only nonbasic ones can go negative
-        best, i, left = 0, start, m
-        while left and not best:
-            for _ in range(min(block, left)):
-                rc = min(map(sub, costs[i], v)) - u[i]
-                if rc < best:
-                    best, row = rc, i
-                i = i + 1 if i < m - 1 else 0
-            left -= min(block, left)
-        if not best:
+        for i in chain(range(start, m), range(start)):
+            rc = min(map(sub, costs[i], v)) - u[i]
+            if rc < 0:
+                break
+        else:
             flows = {cell(x): (flow[x] + m) // big for x in range(m + k) if parent[x] >= 0}
             return flows, u, pivots
-        start, i, rc = i, row, best
+        start = i + 1
         priced = list(map(sub, costs[i], v))
         j = priced.index(rc + u[i])
         pivots += 1

@@ -1,8 +1,8 @@
 """Certificates that depend on the two measures alone, not on the pivot path.
 
 ``bland_reference`` is the earlier Bland's-rule solver. Its optimal flows
-and potentials, fed through the same canonical step as the block-search
-solver's, must give byte-identical values, couplings and witnesses.
+and potentials, fed through the same canonical step as the solver's, must
+give byte-identical values, couplings and witnesses.
 """
 
 import random
@@ -34,7 +34,7 @@ def _uniform_metric(n):
 
 
 def _pairs(rng):
-    """220 seeded pairs of distinct measures, by family."""
+    """240 seeded pairs of distinct measures, by family."""
     for _ in range(60):
         space = random_space(rng, 10)
         yield "random", random_measure(rng, space), random_measure(rng, space)
@@ -66,6 +66,11 @@ def _pairs(rng):
     for _ in range(30):
         space = _uniform_metric(rng.randint(3, 9))
         yield "uniform-metric", random_measure(rng, space), random_measure(rng, space)
+    # tall: many supply rows for two or three demand columns, m >= 4k
+    for _ in range(20):
+        space = random_space(rng, 20, min_points=12)
+        target = _on(rng, space, rng.sample(range(len(space)), rng.randint(2, 3)))
+        yield "tall", _full_support(rng, space), target
 
 
 def _payload(result):
@@ -92,7 +97,7 @@ def test_bland_path_gives_byte_identical_certificates():
             continue
         seen[family] = seen.get(family, 0) + 1
         assert _payload(_bland(p, q)) == _payload(wasserstein(p, q)), family
-    assert sum(seen.values()) >= 200 and len(seen) == 6
+    assert sum(seen.values()) >= 200 and len(seen) == 7
 
 
 def _greatest_by_bellman_ford(space, plan):

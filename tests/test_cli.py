@@ -90,8 +90,7 @@ def ws_file(tmp_path):
 class TestWorkspace:
     def test_loads_and_validates(self, ws_file):
         ws = Workspace.load([ws_file])
-        counts = ws.validate_all()
-        assert counts == {
+        assert ws.counts == {
             "spaces": 3,
             "maps": 2,
             "measures": 6,

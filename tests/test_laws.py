@@ -219,6 +219,12 @@ def test_cases_must_be_positive():
         run_suite(seed=1, cases=0)
 
 
+@pytest.mark.parametrize("cases", [0, -3])
+def test_one_law_needs_a_case_too(cases):
+    with pytest.raises(ValueError, match="cases must be at least 1"):
+        run_law("monad_left_unit", 1, cases)
+
+
 def test_custom_budget_respected():
     tiny = SizeBudget(max_points=2, max_factor_points=2, max_quad_points=2)
     report = run_suite(seed=21, cases=2, budget=tiny, law_ids=["marginals_of_product_identity"])

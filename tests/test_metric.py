@@ -154,7 +154,17 @@ class TestTensor:
                 FinMetricSpace(both.points, both.dist, factors=factors),
                 FinMetricSpace._from_ints(both.points, both._ints, both._scale, factors=factors),
             ):
-                assert given == both and given.factors == factors
+                assert given == both and given.factors == tuple(factors)
+
+    def test_a_list_of_factors_changed_later_leaves_the_space_alone(self):
+        a = FinMetricSpace(("list-a0", "list-a1"), ((0, 1), (1, 0)))
+        b = FinMetricSpace(("list-b0", "list-b1", "list-b2"), ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+        ab = tensor(a, b)
+        factors = [a, b]
+        s = FinMetricSpace(ab.points, ab.dist, factors=factors)
+        factors[1] = a
+        assert s.factors == (a, b)
+        assert marginals(uniform(s))[1] == uniform(b)
 
     def test_factors_must_build_the_points_too(self):
         a = FinMetricSpace(("label-a0", "label-a1"), ((0, 1), (1, 0)))

@@ -25,14 +25,20 @@ leaving cell is unique, and the true flows are (x' + m) // M.
 The certificates do not depend on the pivot path. The short functionals
 that attain the distance are exactly those tight on the support of any one
 optimal coupling (complementary slackness), a set closed under pointwise
-max. The witness is its greatest element with value 0 at the first point:
-the shortest-path distances from that point under f(y) <= f(x) + d(x, y)
-for every pair and f(j) <= f(i) - d(i, j) on the solver's coupling, found
-by Dijkstra on ints after reweighting by a feasible dual (Johnson). The
-coupling is a fixed feasible flow on the cells tight for that witness,
-whose only inputs are those cells and the masses. Zero-weight points are
-not nodes: the coupling is zero on their rows and columns, and the witness
-covers them through the shortness constraints.
+max. So the certificate step reads only two things from a solve: the point
+pairs (i, j) that an optimal coupling ships positive mass along, and a
+short potential g with g(i) - g(j) == d(i, j) on each of them. Any solver
+that finds an optimal coupling and a tight short potential can feed it;
+the bipartite simplex passes its positive-flow cells and the Lipschitz
+envelope of its row potentials. The witness is the greatest optimal short
+functional with value 0 at the first point: the shortest-path distances
+from that point under f(y) <= f(x) + d(x, y) for every pair and
+f(j) <= f(i) - d(i, j) on the given pairs, found by Dijkstra on ints after
+reweighting by g (Johnson). The coupling is a fixed feasible flow on the
+cells tight for that witness, whose only inputs are those cells and the
+masses. Zero-weight points are not nodes: the coupling is zero on their
+rows and columns, and the witness covers them through the shortness
+constraints.
 
 Results become rationals again at the boundary, and all three certificates
 are checked exactly on every call: the coupling's marginals and cost by
@@ -277,46 +283,48 @@ def _solve_transportation(costs, supplies, demands):
             stack.extend(children[x])
 
 
-def _problem(p: Measure, q: Measure):
-    """``(rows, cols, w, costs, supplies, demands)`` of the solve between p and q.
+def _support(measure: Measure, w: int):
+    """The support of ``measure`` and its weights there, as ints over ``w``."""
+    support = [i for i, x in enumerate(measure._units) if x]
+    return support, [measure._units[i] * (w // measure._denom) for i in support]
 
-    ``rows`` and ``cols`` are the supports of p and q; ``costs`` the space's
-    integer distances between them; the masses are the weights scaled to
-    ints by ``w``, the lcm of the two measures' denominators.
+
+def _bipartite_solve(p: Measure, q: Measure, solve):
+    """``(pairs, g)`` for :func:`_certified` from ``solve`` on the supports of p and q.
+
+    ``solve`` takes ``(costs, supplies, demands)``, the space's integer
+    distances from the support of p (rows) to that of q (columns) and the
+    weights as ints over the lcm of the two denominators, and returns the
+    true flows on its basic cells and optimal row potentials ``u`` first,
+    as :func:`_solve_transportation` does. ``pairs`` are the points of the
+    cells with positive flow, and ``g`` is the Lipschitz envelope
+    g(x) = max over rows s of (u(s) - d(x, s)), which is short and tight
+    on those pairs.
     """
-    rows = [i for i, x in enumerate(p._units) if x]
-    cols = [j for j, x in enumerate(q._units) if x]
     ints = p.space._ints
     w = lcm(p._denom, q._denom)
-    sp, sq = w // p._denom, w // q._denom
-    costs = [[ints[i][j] for j in cols] for i in rows]
-    return (
-        rows,
-        cols,
-        w,
-        costs,
-        [p._units[i] * sp for i in rows],
-        [q._units[j] * sq for j in cols],
-    )
-
-
-def _greatest_witness(space, rows, cols, flows, u):
-    """The greatest optimal short functional that is 0 at the first point, on ints.
-
-    ``flows`` is an optimal coupling on the supports and ``u`` optimal row
-    potentials, both on the scale of ``space._ints``. The answer is the
-    shortest-path distance from point 0 under the edges x -> y of weight
-    d(x, y) and i -> j of weight -d(i, j) on the coupling's support. The
-    Lipschitz envelope g(x) = max over s of (u(s) - d(x, s)) is short and
-    tight on that support, so every weight d(x, y) + g(x) - g(y) is >= 0,
-    and Dijkstra settles the points in order of distance minus g.
-    """
-    ints = space._ints
+    rows, supplies = _support(p, w)
+    cols, demands = _support(q, w)
+    flows, u = solve([[ints[i][j] for j in cols] for i in rows], supplies, demands)[:2]
+    pairs = [(rows[a], cols[b]) for (a, b), f in flows.items() if f]
     g = [max(map(sub, u, column)) for column in zip(*(ints[i] for i in rows))]
+    return pairs, g
+
+
+def _greatest_witness(ints, pairs, g):
+    """The greatest short functional tight on ``pairs`` that is 0 at point 0, on ints.
+
+    ``pairs`` are the point pairs (i, j) an optimal coupling ships positive
+    mass along, and ``g`` a short potential with g(i) - g(j) == d(i, j) on
+    each, both on the scale of ``ints``. The answer is the shortest-path
+    distance from point 0 under the edges x -> y of weight d(x, y) and
+    i -> j of weight -d(i, j) for each pair. As g is short and tight on the
+    pairs, every weight d(x, y) + g(x) - g(y) is >= 0, and Dijkstra settles
+    the points in order of distance minus g.
+    """
     ships_to = {}
-    for (a, b), f in flows.items():
-        if f:
-            ships_to.setdefault(rows[a], []).append(cols[b])
+    for i, j in pairs:
+        ships_to.setdefault(i, []).append(j)
     dist = list(ints[0])
     left = list(range(1, len(ints)))
     x = 0
@@ -389,33 +397,36 @@ def _tight_coupling(tight, supplies, demands):
     return used
 
 
-def _certified(p: Measure, q: Measure, problem, flows, u):
-    """``(value, plan, witness)`` from any optimal solve of ``problem``.
+def _certified(p: Measure, q: Measure, pairs, g):
+    """``(value, plan, witness)`` from any optimal solve between p and q.
 
-    ``flows`` and ``u`` are an optimal coupling and optimal row potentials of
-    the problem that :func:`_problem` builds for p and q. Only the witness
-    computation reads them, and it returns the greatest optimal short
-    functional that is 0 at the first point, which they do not change; the
-    coupling is :func:`_tight_coupling` on the cells tight for that witness.
-    So the result depends on p and q alone. All three certificates are
-    checked here.
+    ``pairs`` are the point pairs (i, j) that an optimal coupling of p and q
+    ships positive mass along, in any order, and ``g`` a short potential on
+    the scale of ``space._ints`` with g(i) - g(j) == d(i, j) on every pair.
+    Only the witness computation reads them, and it returns the greatest
+    optimal short functional that is 0 at the first point, which they do
+    not change; the coupling is :func:`_tight_coupling` on the cells of the
+    supports tight for that witness. So the result depends on p and q
+    alone. That canonicity needs the pairs of an optimal coupling: other
+    pairs either fail a check or may give another plan and witness of the
+    same value. All three certificates are checked here.
     """
-    rows, cols, w, costs, supplies, demands = problem
     space = p.space
-    d = space._scale
-    witness = _greatest_witness(space, rows, cols, flows, u)
-    at_cols = [witness[j] for j in cols]
+    ints, d = space._ints, space._scale
+    witness = _greatest_witness(ints, pairs, g)
+    w = lcm(p._denom, q._denom)
+    rows, supplies = _support(p, w)
+    cols, demands = _support(q, w)
     tight = [
-        [b for b, (c, y) in enumerate(zip(row, at_cols)) if witness[i] - y == c]
-        for i, row in zip(rows, costs)
+        [b for b, j in enumerate(cols) if witness[i] - witness[j] == ints[i][j]]
+        for i in rows
     ]
-    cells = []
-    total = 0
-    for b, column in enumerate(_tight_coupling(tight, supplies, demands)):
-        for a, f in column.items():
-            cells.append((rows[a], cols[b], f))
-            total += f * costs[a][b]
-    cost = Fraction(total, w * d)
+    cells = [
+        (rows[a], cols[b], f)
+        for b, column in enumerate(_tight_coupling(tight, supplies, demands))
+        for a, f in column.items()
+    ]
+    cost = Fraction(sum(f * ints[i][j] for i, j, f in cells), w * d)
     plan = TransportPlan(p, q, None, cost, (tuple(cells), w))
     potential = ShortFunctional._from_units(space, witness, d)
     attained = integrate(potential, p) - integrate(potential, q)
@@ -445,9 +456,7 @@ def wasserstein(p: Measure, q: Measure):
         cells = tuple((i, i, x) for i, x in enumerate(p._units) if x)
         plan = TransportPlan(p, q, None, Fraction(0), (cells, p._denom))
         return Fraction(0), plan, DualWitness(zero_functional(p.space))
-    problem = _problem(p, q)
-    flows, u, _ = _solve_transportation(*problem[3:])
-    return _certified(p, q, problem, flows, u)
+    return _certified(p, q, *_bipartite_solve(p, q, _solve_transportation))
 
 
 def wasserstein_distance(p: Measure, q: Measure) -> Fraction:

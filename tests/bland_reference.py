@@ -3,9 +3,10 @@
 This is the package's earlier ``_solve_transportation``, unchanged: the
 entering cell is the first with a negative reduced cost in row-major order,
 and the leaving cell the smallest minus cell of least flow, so degenerate
-pivots cannot cycle. ``test_canonical.py`` feeds its flows and potentials
-through the package's canonical certificate step and checks that the value,
-coupling and witness are byte-identical to ``wasserstein``'s.
+pivots cannot cycle. ``test_canonical.py`` feeds the pairs its optimal
+coupling ships mass along and the Lipschitz envelope of its row potentials
+through the package's canonical certificate step, and checks that the
+value, coupling and witness are byte-identical to ``wasserstein``'s.
 """
 
 from operator import sub

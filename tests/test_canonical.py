@@ -1,12 +1,16 @@
 """Certificates that depend on the two measures alone, not on the pivot path.
 
-``bland_reference`` is the earlier Bland's-rule solver. Its optimal flows
-and potentials, fed through the same canonical step as the solver's, must
-give byte-identical values, couplings and witnesses.
+``bland_reference`` is the earlier Bland's-rule solver. The pairs its
+optimal coupling ships mass along and the Lipschitz envelope of its row
+potentials, fed through the same canonical step as the solver's, must give
+byte-identical values, couplings and witnesses. So must ``wasserstein``'s
+own plan and witness fed back in, since any optimal support and tight short
+potential are enough.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -85,9 +89,8 @@ def _payload(result):
 
 
 def _bland(p, q):
-    problem = transport._problem(p, q)
-    flows, u = bland_reference._solve_transportation(*problem[3:])
-    return transport._certified(p, q, problem, flows, u)
+    pairs, g = transport._bipartite_solve(p, q, bland_reference._solve_transportation)
+    return transport._certified(p, q, pairs, g)
 
 
 def test_bland_path_gives_byte_identical_certificates():
@@ -98,6 +101,49 @@ def test_bland_path_gives_byte_identical_certificates():
         seen[family] = seen.get(family, 0) + 1
         assert _payload(_bland(p, q)) == _payload(wasserstein(p, q)), family
     assert sum(seen.values()) >= 200 and len(seen) == 7
+
+
+def _distinct_pairs():
+    return [(p, q) for _, p, q in _pairs(random.Random(2026)) if p != q]
+
+
+def _on_ints(witness):
+    """The witness's values on the scale of its space's int matrix."""
+    f = witness.potential
+    return [x * (f.domain._scale // f._denom) for x in f._units]
+
+
+def test_any_optimal_support_and_tight_potential_give_the_same_certificates():
+    # the plan's support need not be a spanning-tree basis, nor the witness
+    # a Lipschitz envelope of row potentials
+    rng = random.Random(26)
+    for p, q in _distinct_pairs():
+        result = wasserstein(p, q)
+        _, plan, witness = result
+        pairs, g = [(i, j) for i, j, _ in plan._cells], _on_ints(witness)
+        for _ in range(2):
+            rng.shuffle(pairs)
+            assert _payload(transport._certified(p, q, pairs, g)) == _payload(result)
+
+
+@pytest.mark.parametrize("cells", ["every-support-cell", "none"])
+def test_pairs_of_no_optimal_coupling_never_give_another_value(cells):
+    # such pairs may fail a check, or give another plan and witness of the
+    # same value, but never another value
+    returned = 0
+    for p, q in _distinct_pairs():
+        value, _, witness = wasserstein(p, q)
+        pairs = []
+        if cells == "every-support-cell":
+            rows = [i for i, x in enumerate(p._units) if x]
+            pairs = [(i, j) for i in rows for j, x in enumerate(q._units) if x]
+        try:
+            got = transport._certified(p, q, pairs, _on_ints(witness))[0]
+        except (ValueError, RuntimeError):
+            continue
+        returned += 1
+        assert got == value
+    assert returned
 
 
 def _greatest_by_bellman_ford(space, plan):
@@ -154,19 +200,19 @@ def test_pivot_count_at_128_points():
     rng = random.Random(128)
     space = random_space(rng, 128, min_points=128)
     for _ in range(2):
-        problem = transport._problem(_full_support(rng, space), _full_support(rng, space))
-        _, _, pivots = transport._solve_transportation(*problem[3:])
+        p, q = _full_support(rng, space), _full_support(rng, space)
+        w = lcm(p._denom, q._denom)
+        supplies = [x * (w // p._denom) for x in p._units]
+        demands = [x * (w // q._denom) for x in q._units]
+        _, _, pivots = transport._solve_transportation(space._ints, supplies, demands)
         assert 0 < pivots <= 2000
 
 
 def test_perturbed_solve_on_degenerate_masses():
     # equal masses on a uniform metric: every northwest-corner step ties
-    rng, space = random.Random(0), _uniform_metric(6)
-    problem = transport._problem(
-        _on(rng, space, range(3), equal=True), _on(rng, space, range(3, 6), equal=True)
-    )
-    flows, _, _ = transport._solve_transportation(*problem[3:])
-    supplies, demands = problem[4], problem[5]
+    costs = [[1] * 3 for _ in range(3)]
+    supplies, demands = [1] * 3, [1] * 3
+    flows, _, _ = transport._solve_transportation(costs, supplies, demands)
     assert len(flows) == len(supplies) + len(demands) - 1
     assert all(f >= 0 for f in flows.values())
     for a, s in enumerate(supplies):

@@ -44,6 +44,15 @@ MAX_POINTS = 128
 # 3.11, Intel Xeon).
 MAX_DENOMINATOR_BITS = 4096
 
+# Most bits the numerators of one object may have in all, every entry
+# counted as written: a 128-bit numerator in every distance of MAX_POINTS
+# points. They are read one at a time, and none is read once the sum is
+# over. Python's own limit of 4,300 digits an int allowed a 128-point space
+# at distances near 10**4299, which took 3.5-4.3 s to read and check. The
+# worst case accepted builds in 0.13 s against 0.09 s at distance 1 (Python
+# 3.11, Intel Xeon).
+MAX_NUMERATOR_BITS = 1 << 21
+
 
 class NestingError(ValueError):
     """Input nested deeper than Python's recursion limit lets a decoder follow."""
@@ -126,6 +135,29 @@ def _check_bits(denominators):
             f"denominators of {bits} bits in all are over the limit of {MAX_DENOMINATOR_BITS} "
             "bits (kantorovich.jsonio.MAX_DENOMINATOR_BITS)"
         )
+
+
+def _reader():
+    """``_rational`` for the rationals of one object, bounded by ``MAX_NUMERATOR_BITS``.
+
+    Each rational read takes its numerator's bits from the object's budget,
+    and the first one to overspend it raises, so no later string of the
+    object becomes an int or reaches a check.
+    """
+    left = MAX_NUMERATOR_BITS
+
+    def read(s) -> tuple:
+        nonlocal left
+        numerator, denominator = _rational(s)
+        left -= numerator.bit_length()
+        if left < 0:
+            raise ValueError(
+                f"numerators of more than {MAX_NUMERATOR_BITS} bits in all are over the limit "
+                "(kantorovich.jsonio.MAX_NUMERATOR_BITS)"
+            )
+        return numerator, denominator
+
+    return read
 
 
 def _over_lcm(rows) -> tuple:
@@ -240,7 +272,8 @@ def space_from_json(obj, resolver: Resolver = None) -> FinMetricSpace:
         raise ValueError("space needs a list of points and a list of dist rows")
     _check_size(max(len(points), len(dist), *map(len, dist)))
     points = [label_from_json(p) for p in points]
-    rows, denom = _over_lcm([[_rational(x) for x in row] for row in dist])
+    read = _reader()
+    rows, denom = _over_lcm([[read(x) for x in row] for row in dist])
     return FinMetricSpace._from_ints(points, rows, denom)
 
 
@@ -256,7 +289,7 @@ def measure_to_json(p: Measure):
 @_decoder("measure", ("space", "weights"), "measure")
 def measure_from_json(obj, resolver: Resolver = None) -> Measure:
     space = space_from_json(_field(obj, "space", "measure"), resolver)
-    weights = _by_point(obj, "weights", "measure", _rational, {})
+    weights = _by_point(obj, "weights", "measure", _reader(), {})
     (units,), denom = _over_lcm([_by_label(space, weights, "weights", (0, 1))])
     return Measure._from_units(space, units, denom)
 
@@ -290,7 +323,7 @@ def functional_to_json(f: ShortFunctional):
 @_decoder("functional", ("domain", "values"))
 def functional_from_json(obj, resolver: Resolver = None) -> ShortFunctional:
     domain = space_from_json(_field(obj, "domain", "functional"), resolver)
-    values = _by_point(obj, "values", "functional", _rational)
+    values = _by_point(obj, "values", "functional", _reader())
     (units,), denom = _over_lcm([_by_label(domain, values, "values", (0, 1))])
     return ShortFunctional._from_units(domain, units, denom)
 
@@ -309,7 +342,8 @@ def nested_from_json(obj, resolver: Resolver = None) -> NestedMeasure:
     inner = _field(obj, "inner", "nested measure", list, [])
     weights = _field(obj, "weights", "nested measure", list, [])
     inner = tuple(measure_from_json(m, resolver) for m in inner)
-    (units,), denom = _over_lcm([[_rational(w) for w in weights]])
+    read = _reader()
+    (units,), denom = _over_lcm([[read(w) for w in weights]])
     return NestedMeasure._from_units(base, inner, units, denom)
 
 

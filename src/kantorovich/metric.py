@@ -7,15 +7,19 @@ measure, transport plan) follows one rule. It stores one form of its
 numbers: ints over one common denominator, reduced, so that equal values
 have equal ints. It is built from that form: the public constructors check
 the shape of what they are given, turn it into ints with ``_to_units`` and
-keep nothing else, and objects computed from other objects (tensors,
-generated spaces, joints, closures, nested measures) hand their ints,
-reduced by ``_reduced``, to construction directly. Its checks, their error
-messages, its equality and its hash read those ints: the triangle
-inequality is tested on every triple of a space, except that a tensor
-space is certified in quadratic time by its already checked factors, and
-the Lipschitz bound is tested on every pair, one C-level pass per point or
-pair; a failing check names its first violation with ``Fraction``s made
-from the ints it tested. The public
+keep nothing else, and objects computed from other objects (generated
+spaces, joints, closures, nested measures) hand their ints, reduced by
+``_reduced``, to construction directly. A tensor is built from its two
+factors alone: its ints are computed once, as the sum of theirs over the
+lcm of their scales, which is reduced and a metric because the factors
+were checked when they were built, so nothing about it is checked again.
+Its checks, their error messages, its equality and its hash read those
+ints: the triangle inequality is tested on every triple of any other
+space, except that a space given both a matrix and factors is compared
+against the sum of the factors in quadratic time, and the Lipschitz bound
+is tested on every pair, one C-level pass per point or pair; a failing
+check names its first violation with ``Fraction``s made from the ints it
+tested. The public
 ``Fraction`` table (``dist``, ``values``, ``weights``, ``coupling``) is made
 on first read, one ``Fraction`` per distinct value, and kept. Values are
 immutable after construction; every operation is a pure function.
@@ -33,6 +37,9 @@ from typing import Hashable, Iterable, Mapping
 Label = Hashable
 
 TERMINAL_POINT = "*"
+
+# The private ``_kernel`` of a tensor: its rows are the sum of its factors'.
+_SUM = object()
 
 
 def _as_fraction(x) -> Fraction:
@@ -105,9 +112,11 @@ class FinMetricSpace(_Exact):
 
     Construction validates the full set of metric axioms: zero diagonal,
     strict positivity off the diagonal (genuine metric, not pseudometric),
-    symmetry, and the triangle inequality over all triples; a space whose
-    distances are the sum of its two ``factors`` has them from its factors.
-    Distinct points at distance zero are rejected, never quotiented.
+    symmetry, and the triangle inequality over all triples. A space given
+    a matrix whose distances are the sum of its two ``factors`` has them
+    from its factors, and one built by :func:`tensor` is computed from its
+    factors and has them by construction. Distinct points at distance zero
+    are rejected, never quotiented.
 
     ``factors`` records how a space was built by :func:`tensor`; it is
     construction metadata and takes no part in equality or hashing. Given
@@ -131,14 +140,21 @@ class FinMetricSpace(_Exact):
             raise ValueError("a metric space needs at least one point")
         if len(index) != n:
             raise ValueError("point labels must be pairwise distinct")
-        public = _kernel is None
-        table = _flat(dist if public else _kernel[0], n, "distance matrix")
-        units, scale = _to_units(table) if public else _reduced(table, _kernel[1])
-        ints = tuple(units[i : i + n] for i in range(0, n * n, n))
-        if isinstance(factors, list):
-            factors = tuple(factors)
+        summed = _kernel is _SUM
+        if summed:
+            # the sum of two checked metrics, over the lcm of two reduced
+            # scales: a metric, and reduced, so it needs no check
+            scale = lcm(factors[0]._scale, factors[1]._scale)
+            ints = tuple(_sum_rows(*factors, scale))
+        else:
+            public = _kernel is None
+            table = _flat(dist if public else _kernel[0], n, "distance matrix")
+            units, scale = _to_units(table) if public else _reduced(table, _kernel[1])
+            ints = tuple(units[i : i + n] for i in range(0, n * n, n))
+            if isinstance(factors, list):
+                factors = tuple(factors)
         vars(self).update(points=points, factors=factors, _index=index, _ints=ints, _scale=scale)
-        if not _check_axioms(self) and factors is not None:
+        if not (summed or _check_axioms(self) or factors is None):
             raise ValueError("factors must be two spaces whose tensor is this space")
 
     @classmethod
@@ -165,14 +181,16 @@ class FinMetricSpace(_Exact):
 def _check_axioms(space: FinMetricSpace) -> bool:
     """Raise on the first metric axiom that the space's ``_ints`` breaks.
 
-    Return whether the space is certified by its ``factors``: a tuple of two
-    spaces whose row-major pairs of points are its points and whose sum
-    metric, over a scale that is a multiple of both factor scales, is its
-    ints. That is exactly when the space is their tensor, and a sum
+    It runs on every space given a matrix, never on one that ``tensor``
+    builds, whose ints are computed from its factors in the first place.
+    Return whether the space is certified by its given ``factors``: a tuple
+    of two spaces whose row-major pairs of points are its points and whose
+    sum metric, over a scale that is a multiple of both factor scales, is
+    its ints. That is exactly when the space is their tensor, and a sum
     of two metrics on a product of point sets is a metric, as the factors
     passed these checks when they were built. The test compares whole rows
-    at C speed, O(n^2) in all, and holds for every space that ``tensor``
-    builds. Every other space, including one whose given ``factors`` do not
+    at C speed, O(n^2) in all, and stops at the first row that differs.
+    Every other space, including one whose given ``factors`` do not
     add up, is checked in full, and False is returned if it passes: one
     pass per row tests its diagonal entry, then its other entries for
     positivity and the row against its column for symmetry at C speed; only
@@ -271,13 +289,16 @@ def tensor(x: FinMetricSpace, y: FinMetricSpace) -> FinMetricSpace:
 
     d((a, b), (a', b')) = d(a, a') + d(b, b').  Points are ordered pairs in
     row-major order with the left factor outer, and the result remembers its
-    factors so marginals need no inference. Only the most recent tensors are
-    cached: nearly all reuse falls within one law check, so a small cache
-    keeps that saving without holding spaces from one check to the next,
-    and what the package holds between calls stays small. A repeated
-    tensor may therefore be a new instance, equal to the earlier one. Space
-    equality ignores ``factors``, so the cache key also holds each factor's
-    factor tree; points, distances and tree together fix the factorization.
+    factors so marginals need no inference. Its int matrix is computed once
+    from the factors, which were checked when they were built; the sum of
+    two metrics is a metric, so it is not checked again. Only the most
+    recent tensors are cached: nearly all reuse falls within one law check,
+    so a small cache keeps that saving without holding spaces from one
+    check to the next, and what the package holds between calls stays
+    small. A repeated tensor may therefore be a new instance, equal to the
+    earlier one. Space equality ignores ``factors``, so the cache key also
+    holds each factor's factor tree; points, distances and tree together
+    fix the factorization.
     """
     return _tensor(x, y, _shape(x), _shape(y))
 
@@ -289,17 +310,17 @@ def tensor(x: FinMetricSpace, y: FinMetricSpace) -> FinMetricSpace:
 # 0.18 MB (tracemalloc).
 @lru_cache(maxsize=64)
 def _tensor(x, y, x_shape, y_shape):
-    points = tuple((a, b) for a in x.points for b in y.points)
-    scale = lcm(x._scale, y._scale)
-    return FinMetricSpace._from_ints(points, _sum_rows(x, y, scale), scale, factors=(x, y))
+    return FinMetricSpace(product(x.points, y.points), None, (x, y), _SUM)
 
 
 def _sum_rows(x: FinMetricSpace, y: FinMetricSpace, scale: int):
     """The int rows of the sum metric on x times y over ``scale``, a multiple of both scales.
 
-    The rows come one at a time, so the certificate holds one row beside the
-    space: holding the whole matrix raised the law suite's peak RSS by about
-    0.3 MB.
+    Over ``lcm(x._scale, y._scale)`` the rows are reduced: a prime dividing
+    that scale and every row would divide one factor's scale and all its
+    ints. A tensor takes all of them; the rows come one at a time so that
+    ``_check_axioms`` stops at the first one that differs from a space's
+    given matrix.
     """
     sx, sy = scale // x._scale, scale // y._scale
     x_rows = [[d * sx for d in row] for row in x._ints]

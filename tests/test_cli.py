@@ -379,6 +379,31 @@ def test_long_denominators_exit_2_quickly(tmp_path, capsys):
     )
 
 
+def test_long_numerators_exit_2_quickly(tmp_path, capsys):
+    # 128 points at distinct distances 10**4299 + k, just under Python's
+    # int-string limit: a 70 MB workspace that took 3.5 s or more to read
+    # and check before the limit
+    n = 128
+    path = tmp_path / "long.json"
+    with open(path, "w") as out:
+        out.write('{"spaces": {"X": {"points": %s, "dist": [' % json.dumps([f"x{i}" for i in range(n)]))
+        for i in range(n):
+            row = ['"0"' if i == j else f'"1{min(i, j) * n + max(i, j):04299d}"' for j in range(n)]
+            out.write(("," if i else "") + "[" + ",".join(row) + "]")
+        out.write("]}}}")
+    start = time.perf_counter()
+    code = main(["validate", "--workspace", str(path)])
+    seconds = time.perf_counter() - start
+    path.unlink()  # pytest keeps the temporary folders of recent runs
+    assert code == 2
+    assert seconds < 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {path}: space 'X': numerators of more than {jsonio.MAX_NUMERATOR_BITS} bits in all "
+        "are over the limit (kantorovich.jsonio.MAX_NUMERATOR_BITS)\n",
+    )
+
+
 class TestMarginalsCommand:
     def test_correlated_marginals(self, ws_file, capsys):
         assert main(["--json", "marginals", "correlated", "--workspace", ws_file]) == 0

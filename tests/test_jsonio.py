@@ -482,3 +482,45 @@ class TestDenominatorBits:
         # the factors' scales 3 and 5 have 5 bits; 7 and 10 have 7
         assert jsonio.space_from_json({"tensor": [thirds, fifths]})._scale == 15
         self.over(jsonio.space_from_json, {"tensor": [sevenths, self.AT_LIMIT]})
+
+
+class TestNumeratorBits:
+    """The numerators of one object, every entry as written, have at most MAX_NUMERATOR_BITS bits in all."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "MAX_NUMERATOR_BITS", 12)
+
+    def over(self, decode, obj):
+        with pytest.raises(ValueError) as caught:
+            decode(obj)
+        assert str(caught.value) == (
+            "numerators of more than 12 bits in all are over the limit "
+            "(kantorovich.jsonio.MAX_NUMERATOR_BITS)"
+        )
+
+    def test_space(self):
+        # every entry counts, not each distinct numerator once: two 63s have
+        # 12 bits; a leading zero or a sign adds none
+        at_limit = {"points": ["a", "b"], "dist": [["-0", "063/2"], ["63/2", "0"]]}
+        assert jsonio.space_from_json(at_limit)._scale == 2
+        self.over(jsonio.space_from_json, {"points": ["a", "b"], "dist": [["0", "64"], ["63", "0"]]})
+        # the limit is met before the triangle check, which both spaces fail
+        def far(d):
+            return {"points": ["a", "b", "c"], "dist": [["0", "1", d], ["1", "0", "1"], [d, "1", "0"]]}
+
+        with pytest.raises(ValueError, match="triangle inequality"):
+            jsonio.space_from_json(far("15"))  # 12 bits
+        self.over(jsonio.space_from_json, far("31"))
+
+    def test_measure_functional_and_nested(self):
+        line = {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}
+        weights = {"a": "63/127", "b": "64/127"}  # 6 and 7 bits
+        self.over(jsonio.measure_from_json, {"space": line, "weights": weights})
+        self.over(jsonio.functional_from_json, {"domain": line, "values": {"a": "8191", "b": "0"}})
+        fair = {"space": line, "weights": {"a": "1/2", "b": "1/2"}}
+        self.over(jsonio.nested_from_json, {"base": line, "inner": [fair, fair], "weights": ["63/127", "64/127"]})
+        # each object has its own budget: three objects of 11 bits each
+        inner = {"space": line, "weights": {"a": "31/63", "b": "32/63"}}
+        nested = jsonio.nested_from_json({"base": line, "inner": [inner, inner], "weights": ["31/63", "32/63"]})
+        assert nested.weights == (Fraction(31, 63), Fraction(32, 63))

@@ -29,6 +29,7 @@ from kantorovich import (
     unitor_left,
     unitor_right,
 )
+from kantorovich import metric
 from kantorovich.generate import random_short_map, random_space
 from kantorovich.metric import _first_long_pair
 
@@ -215,6 +216,23 @@ class TestTensor:
         after = tensor.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 2
         assert after.hits >= before.hits + 1
+
+    def test_a_tensor_sums_its_factors_rows_once(self, monkeypatch):
+        a = FinMetricSpace(("once-a0", "once-a1"), ((0, Fraction(1, 2)), (Fraction(1, 2), 0)))
+        b = FinMetricSpace(("once-b0", "once-b1", "once-b2"), ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sum_rows(*args)
+
+        sum_rows = metric._sum_rows
+        monkeypatch.setattr(metric, "_sum_rows", counted)
+        metric._tensor.cache_clear()
+        product = tensor(a, b)
+        assert calls == [(a, b, 2)]
+        assert product.factors == (a, b)
+        assert product == FinMetricSpace(product.points, product.dist)
 
     def test_terminal(self):
         one = terminal()

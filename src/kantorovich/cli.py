@@ -32,7 +32,7 @@ from .structure import (
     marginals,
     product,
 )
-from .transport import wasserstein
+from .transport import wasserstein, wasserstein_distance
 
 # Most cases per law that ``laws --cases`` accepts. Every case is checked
 # exactly and a run grows linearly with the count; the 200-case runs of the
@@ -158,15 +158,15 @@ def _validate(args, ws):
 
 def _distance(args, ws, p, q):
     fmt = jsonio.format_fraction
+    if not args.verbose:
+        value = fmt(wasserstein_distance(p, q))
+        return {"distance": value}, [value]
     value, plan, witness = wasserstein(p, q)
     payload, lines = {"distance": fmt(value)}, [fmt(value)]
-    if args.verbose:
-        payload["coupling"] = [[fmt(x) for x in row] for row in plan.coupling]
-        payload["witness"] = jsonio.functional_to_json(witness.potential)
-        lines += ["coupling:"] + ["  " + " ".join(row) for row in payload["coupling"]]
-        lines += ["witness:"] + [
-            f"  {key}: {v}" for key, v in payload["witness"]["values"].items()
-        ]
+    payload["coupling"] = [[fmt(x) for x in row] for row in plan.coupling]
+    payload["witness"] = jsonio.functional_to_json(witness.potential)
+    lines += ["coupling:"] + ["  " + " ".join(row) for row in payload["coupling"]]
+    lines += ["witness:"] + [f"  {key}: {v}" for key, v in payload["witness"]["values"].items()]
     return payload, lines
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from math import gcd, lcm
 from typing import Callable, Optional
 
@@ -113,8 +113,11 @@ def parse_fraction(s) -> Fraction:
     return Fraction(*_rational(s))
 
 
-def _rational(s) -> tuple:
-    """``(numerator, denominator)`` of the rational ``s``, as ints, not reduced."""
+def _rational(s, to_int=int) -> tuple:
+    """``(numerator, denominator)`` of the rational ``s``, as ints, not reduced.
+
+    ``to_int`` converts the denominator's digits.
+    """
     if isinstance(s, int) and not isinstance(s, bool):
         return s, 1
     if not isinstance(s, str):
@@ -122,7 +125,7 @@ def _rational(s) -> tuple:
     match = _RATIONAL.fullmatch(s)
     if not match:
         raise ValueError(f'bad rational {s!r}: expected "p/q" or an integer')
-    numerator, denominator = int(match[1]), int(match[2] or 1)
+    numerator, denominator = int(match[1]), to_int(match[2] or "1")
     if not denominator:
         raise ValueError(f"bad rational {s!r}: zero denominator")
     return numerator, denominator
@@ -142,13 +145,17 @@ def _reader():
 
     Each rational read takes its numerator's bits from the object's budget,
     and the first one to overspend it raises, so no later string of the
-    object becomes an int or reaches a check.
+    object becomes an int or reaches a check. Each distinct denominator
+    string is converted once: an object may repeat one long denominator in
+    every entry, and ``MAX_DENOMINATOR_BITS`` is only checked on the
+    distinct ones after all are read.
     """
     left = MAX_NUMERATOR_BITS
+    to_int = lru_cache(maxsize=None)(int)
 
     def read(s) -> tuple:
         nonlocal left
-        numerator, denominator = _rational(s)
+        numerator, denominator = _rational(s, to_int)
         left -= numerator.bit_length()
         if left < 0:
             raise ValueError(

@@ -478,18 +478,7 @@ class ShortFunctional(_Exact):
         if len(units) != len(domain):
             raise ValueError("functional must assign a value to every point")
         vars(self).update(domain=domain, _units=units, _denom=denom)
-        # f(i) - f(j) <= d(i, j) for every ordered pair is the Lipschitz bound,
-        # one C-level pass per point: f(i) <= min over j of d(i, j) + f(j)
-        values, rows, scale = _common(domain, units, denom)
-        if any(v > min(map(add, row, values)) for v, row in zip(values, rows)):
-            n, points = len(values), domain.points
-            pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-            i, j = next((i, j) for i, j in pairs if abs(values[i] - values[j]) > rows[i][j])
-            raise ValueError(
-                "functional is not short: "
-                f"|f({points[i]!r}) - f({points[j]!r})| = "
-                f"{Fraction(abs(values[i] - values[j]), scale)} > d = {Fraction(rows[i][j], scale)}"
-            )
+        _check_short(domain, units, denom)
 
     @classmethod
     def _from_units(cls, domain: FinMetricSpace, units, denom: int) -> "ShortFunctional":
@@ -515,6 +504,26 @@ def _by_label(space: FinMetricSpace, mapping, name: str, zero=0) -> list:
     if unknown:
         raise ValueError(f"{name} name unknown points: {unknown!r}")
     return [mapping.get(p, zero) for p in space.points]
+
+
+def _check_short(domain: FinMetricSpace, units, denom: int) -> None:
+    """Raise ValueError unless the values ``units[i] / denom`` are short on ``domain``.
+
+    f(i) - f(j) <= d(i, j) for every ordered pair is the Lipschitz bound,
+    checked on ints in one C-level pass per point: f(i) <= min over j of
+    d(i, j) + f(j). :class:`ShortFunctional` and the value path of
+    :func:`~kantorovich.transport.wasserstein_distance` both check here.
+    """
+    values, rows, scale = _common(domain, units, denom)
+    if any(v > min(map(add, row, values)) for v, row in zip(values, rows)):
+        n, points = len(values), domain.points
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+        i, j = next((i, j) for i, j in pairs if abs(values[i] - values[j]) > rows[i][j])
+        raise ValueError(
+            "functional is not short: "
+            f"|f({points[i]!r}) - f({points[j]!r})| = "
+            f"{Fraction(abs(values[i] - values[j]), scale)} > d = {Fraction(rows[i][j], scale)}"
+        )
 
 
 def _common(domain: FinMetricSpace, units, denom: int):

@@ -40,11 +40,16 @@ masses. Zero-weight points are not nodes: the coupling is zero on their
 rows and columns, and the witness covers them through the shortness
 constraints.
 
-Results become rationals again at the boundary, and all three certificates
-are checked exactly on every call: the coupling's marginals and cost by
-``TransportPlan`` (on its nonzero cells as ints), the shortness of the
-witness by the construction of its ``ShortFunctional`` (on ints, over every
-pair), and the equality of primal and dual costs on the exact integrals.
+A value alone needs no canonical objects. :func:`wasserstein_distance`
+certifies it by the solve's own coupling and potential, the positive-flow
+cells and the envelope g, and builds neither a plan nor a witness;
+:func:`wasserstein` adds the canonical certificates. Either way the same
+checks run exactly, on ints, on every call, each implemented once: the
+coupling's nonnegativity, marginals and cost by ``_coupling_cost`` (which
+``TransportPlan`` runs on its nonzero cells), the potential's shortness
+over every pair by ``metric._check_short`` (which ``ShortFunctional``
+runs), and the equality of primal and dual costs by ``_check_attained``.
+Results become rationals again at the boundary.
 
 The brute-force oracle shares no code with the solver: it enumerates the
 spanning trees of the support graph depth first and scales masses and
@@ -59,10 +64,11 @@ from itertools import chain, repeat
 from math import lcm
 from operator import add, sub
 
-from .measure import Measure, integrate
+from .measure import Measure
 from .metric import (
     ShortFunctional,
     _as_fraction,
+    _check_short,
     _Exact,
     _flat,
     _OnFirstRead,
@@ -121,24 +127,7 @@ class TransportPlan(_Exact):
         units, scale = _reduced([x for _, _, x in cells], scale)
         cells = tuple((i, j, x) for (i, j, _), x in zip(cells, units))
         vars(self).update(source=source, target=target, cost=cost, _cells=cells, _scale=scale)
-        if any(x < 0 for _, _, x in cells):
-            raise ValueError("coupling entries must be nonnegative")
-        rows, cols = [0] * n, [0] * n
-        for i, j, x in cells:
-            rows[i] += x
-            cols[j] += x
-        common = lcm(scale, source._denom, target._denom)
-        share = common // scale
-        for sums, measure, name in ((rows, source, "row"), (cols, target, "column")):
-            expected = common // measure._denom
-            for i, total in enumerate(sums):
-                if total * share != measure._units[i] * expected:
-                    raise ValueError(
-                        f"{name} {i} sums to {Fraction(total, scale)}, "
-                        f"expected {Fraction(measure._units[i], measure._denom)}"
-                    )
-        ints = space._ints
-        total = sum(x * ints[i][j] for i, j, x in cells)
+        total = _coupling_cost(source, target, cells, scale)
         if total * cost.denominator != cost.numerator * scale * space._scale:
             raise ValueError(
                 f"stated cost {cost} differs from actual "
@@ -147,6 +136,53 @@ class TransportPlan(_Exact):
 
     def _key(self):
         return self._scale, self._cells, self.source, self.target
+
+
+def _coupling_cost(source, target, cells, scale) -> int:
+    """The cost of a coupling of ``source`` and ``target``, checked to be one.
+
+    The coupling has the entry ``x / scale`` on each cell ``(i, j, x)`` and
+    zero elsewhere. Raises ValueError unless every entry is nonnegative and
+    the row and column sums equal the two measures' weights exactly; then
+    returns the cost as an int over ``scale * space._scale``.
+    :class:`TransportPlan` and :func:`wasserstein_distance` both check here.
+    """
+    n = len(source.space)
+    if any(x < 0 for _, _, x in cells):
+        raise ValueError("coupling entries must be nonnegative")
+    rows, cols = [0] * n, [0] * n
+    for i, j, x in cells:
+        rows[i] += x
+        cols[j] += x
+    common = lcm(scale, source._denom, target._denom)
+    share = common // scale
+    for sums, measure, name in ((rows, source, "row"), (cols, target, "column")):
+        expected = common // measure._denom
+        for i, total in enumerate(sums):
+            if total * share != measure._units[i] * expected:
+                raise ValueError(
+                    f"{name} {i} sums to {Fraction(total, scale)}, "
+                    f"expected {Fraction(measure._units[i], measure._denom)}"
+                )
+    ints = source.space._ints
+    return sum(x * ints[i][j] for i, j, x in cells)
+
+
+def _check_attained(p: Measure, q: Measure, g, total: int, w: int) -> None:
+    """Raise unless the potential ``g`` attains the primal cost ``total``.
+
+    ``g`` is on the scale of ``space._ints``, ``w`` is a common denominator
+    of p and q, and ``total`` is over ``w * space._scale``; the check is
+    sum over x of g(x) * (p(x) - q(x)) == total, on ints.
+    """
+    a, b = w // p._denom, w // q._denom
+    attained = sum(x * (s * a - t * b) for x, s, t in zip(g, p._units, q._units))
+    if attained != total:
+        scale = w * p.space._scale
+        raise RuntimeError(
+            f"dual witness attains {Fraction(attained, scale)}, "
+            f"primal cost is {Fraction(total, scale)}"
+        )
 
 
 class DualWitness(_Exact):
@@ -290,25 +326,25 @@ def _support(measure: Measure, w: int):
 
 
 def _bipartite_solve(p: Measure, q: Measure, solve):
-    """``(pairs, g)`` for :func:`_certified` from ``solve`` on the supports of p and q.
+    """``(cells, g)``, an optimal coupling and potential from ``solve`` on the supports.
 
     ``solve`` takes ``(costs, supplies, demands)``, the space's integer
     distances from the support of p (rows) to that of q (columns) and the
-    weights as ints over the lcm of the two denominators, and returns the
-    true flows on its basic cells and optimal row potentials ``u`` first,
-    as :func:`_solve_transportation` does. ``pairs`` are the points of the
-    cells with positive flow, and ``g`` is the Lipschitz envelope
-    g(x) = max over rows s of (u(s) - d(x, s)), which is short and tight
-    on those pairs.
+    weights as ints over w = lcm(p._denom, q._denom), and returns the true
+    flows on its basic cells and optimal row potentials ``u`` first, as
+    :func:`_solve_transportation` does. ``cells`` are the cells with
+    positive flow as ``(i, j, f)``, points i and j and the flow f over w,
+    and ``g`` is the Lipschitz envelope g(x) = max over rows s of
+    (u(s) - d(x, s)), which is short and tight on those cells.
     """
     ints = p.space._ints
     w = lcm(p._denom, q._denom)
     rows, supplies = _support(p, w)
     cols, demands = _support(q, w)
     flows, u = solve([[ints[i][j] for j in cols] for i in rows], supplies, demands)[:2]
-    pairs = [(rows[a], cols[b]) for (a, b), f in flows.items() if f]
+    cells = [(rows[a], cols[b], f) for (a, b), f in flows.items() if f]
     g = [max(map(sub, u, column)) for column in zip(*(ints[i] for i in rows))]
-    return pairs, g
+    return cells, g
 
 
 def _greatest_witness(ints, pairs, g):
@@ -426,15 +462,31 @@ def _certified(p: Measure, q: Measure, pairs, g):
         for b, column in enumerate(_tight_coupling(tight, supplies, demands))
         for a, f in column.items()
     ]
-    cost = Fraction(sum(f * ints[i][j] for i, j, f in cells), w * d)
+    total = sum(f * ints[i][j] for i, j, f in cells)
+    cost = Fraction(total, w * d)
     plan = TransportPlan(p, q, None, cost, (tuple(cells), w))
     potential = ShortFunctional._from_units(space, witness, d)
-    attained = integrate(potential, p) - integrate(potential, q)
-    if attained != cost:
-        raise RuntimeError(
-            f"dual witness attains {attained}, primal cost is {cost}"
-        )
+    _check_attained(p, q, witness, total, w)
     return cost, plan, DualWitness(potential)
+
+
+def _value(p: Measure, q: Measure, cells, g) -> Fraction:
+    """W1(p, q) from an optimal solve's own coupling and potential, checked exactly.
+
+    ``cells`` and ``g`` are as :func:`_bipartite_solve` returns them: the
+    coupling's nonzero cells ``(i, j, f)`` with f over lcm(p._denom,
+    q._denom), and a potential on the scale of ``space._ints``. The
+    coupling's marginals are checked and its cost computed as in
+    :class:`TransportPlan`, ``g`` is checked short on every pair as in
+    :class:`ShortFunctional`, and its integral against p - q must equal the
+    cost. No canonical object is built.
+    """
+    space = p.space
+    w = lcm(p._denom, q._denom)
+    total = _coupling_cost(p, q, cells, w)
+    _check_short(space, g, space._scale)
+    _check_attained(p, q, g, total, w)
+    return Fraction(total, w * space._scale)
 
 
 def wasserstein(p: Measure, q: Measure):
@@ -456,12 +508,25 @@ def wasserstein(p: Measure, q: Measure):
         cells = tuple((i, i, x) for i, x in enumerate(p._units) if x)
         plan = TransportPlan(p, q, None, Fraction(0), (cells, p._denom))
         return Fraction(0), plan, DualWitness(zero_functional(p.space))
-    return _certified(p, q, *_bipartite_solve(p, q, _solve_transportation))
+    cells, g = _bipartite_solve(p, q, _solve_transportation)
+    return _certified(p, q, [(i, j) for i, j, _ in cells], g)
 
 
 def wasserstein_distance(p: Measure, q: Measure) -> Fraction:
-    """The Wasserstein-1 value alone."""
-    return wasserstein(p, q)[0]
+    """The Wasserstein-1 value alone, certified by the solve's own coupling and potential.
+
+    The coupling and potential the simplex ends with prove the value by
+    Kantorovich-Rubinstein duality, and :func:`_value` checks them exactly:
+    the coupling's marginals and cost, the potential's shortness on every
+    pair, and the equality of the two integrals. It builds neither a
+    :class:`TransportPlan` nor a :class:`ShortFunctional`; the canonical
+    plan and witness are :func:`wasserstein`'s. Equal measures give 0.
+    """
+    if p.space != q.space:
+        raise ValueError("measures live on different spaces")
+    if p == q:
+        return Fraction(0)
+    return _value(p, q, *_bipartite_solve(p, q, _solve_transportation))
 
 
 def wasserstein_oracle(p: Measure, q: Measure) -> Fraction:

@@ -5,16 +5,28 @@ optimal coupling ships mass along and the Lipschitz envelope of its row
 potentials, fed through the same canonical step as the solver's, must give
 byte-identical values, couplings and witnesses. So must ``wasserstein``'s
 own plan and witness fed back in, since any optimal support and tight short
-potential are enough.
+potential are enough. ``wasserstein_distance`` certifies the same value by
+the solve's own coupling and potential, without the canonical step, and
+rejects a coupling or potential that does not prove it.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
 
-from kantorovich import FinMetricSpace, Measure, ShortFunctional, dirac, integrate, wasserstein
+from kantorovich import (
+    FinMetricSpace,
+    Measure,
+    ShortFunctional,
+    dirac,
+    integrate,
+    product,
+    wasserstein,
+    wasserstein_distance,
+)
 from kantorovich import jsonio, transport
 from kantorovich.generate import random_measure, random_measure_with_support, random_space
 from kantorovich.jsonio import format_fraction
@@ -89,8 +101,8 @@ def _payload(result):
 
 
 def _bland(p, q):
-    pairs, g = transport._bipartite_solve(p, q, bland_reference._solve_transportation)
-    return transport._certified(p, q, pairs, g)
+    cells, g = transport._bipartite_solve(p, q, bland_reference._solve_transportation)
+    return transport._certified(p, q, [(i, j) for i, j, _ in cells], g)
 
 
 def test_bland_path_gives_byte_identical_certificates():
@@ -144,6 +156,94 @@ def test_pairs_of_no_optimal_coupling_never_give_another_value(cells):
         returned += 1
         assert got == value
     assert returned
+
+
+def _value_cases():
+    """Every catalog pair, the same measure twice, and pairs on tensor spaces."""
+    rng = random.Random(2026)
+    for _, p, q in _pairs(rng):
+        yield p, q
+        yield p, p
+    for _ in range(20):
+        x, y = random_space(rng, 5), random_space(rng, 5)
+        r = product(random_measure(rng, x), random_measure(rng, y))
+        yield r, product(random_measure(rng, x), random_measure(rng, y))
+        yield r, r
+
+
+def test_the_value_path_gives_the_canonical_value():
+    families = set()
+    for p, q in _value_cases():
+        assert wasserstein_distance(p, q) == wasserstein(p, q)[0]
+        families.add((p == q, isinstance(p.space.points[0], tuple)))
+    assert families == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_the_value_path_builds_no_plan_or_functional(monkeypatch):
+    cases = list(_value_cases())[::8]
+    expected = [wasserstein(p, q)[0] for p, q in cases]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(transport.TransportPlan, "__init__", refuse)
+    monkeypatch.setattr(ShortFunctional, "__init__", refuse)
+    assert [wasserstein_distance(p, q) for p, q in cases] == expected
+
+
+class TestValueChecks:
+    """``_value`` rejects each way a coupling and potential can fail to prove a value."""
+
+    @pytest.fixture
+    def solved(self):
+        rng = random.Random(28)
+        space = random_space(rng, 8, min_points=8)
+        p, q = _full_support(rng, space), _full_support(rng, space)
+        cells, g = transport._bipartite_solve(p, q, transport._solve_transportation)
+        assert transport._value(p, q, cells, g) == wasserstein(p, q)[0]
+        return p, q, cells, g
+
+    @staticmethod
+    def _swapped(p, cells, t_extra):
+        """The cells after moving mass round a 2 x 2 cycle that raises the cost.
+
+        Cells (i, j) and (k, l) lose t and (i, l) and (k, j) gain it, with
+        t the smaller flow plus ``t_extra``, so the marginals stay put.
+        """
+        ints = p.space._ints
+        for (i, j, f), (k, l, h) in combinations(cells, 2):
+            if i != k and j != l and ints[i][l] + ints[k][j] > ints[i][j] + ints[k][l]:
+                flows = {(a, b): x for a, b, x in cells}
+                t = min(f, h) + t_extra
+                for cell, sign in (((i, j), -1), ((k, l), -1), ((i, l), 1), ((k, j), 1)):
+                    flows[cell] = flows.get(cell, 0) + sign * t
+                return [(a, b, x) for (a, b), x in flows.items() if x]
+        raise AssertionError("no cycle raises the cost")
+
+    def test_a_negative_cell(self, solved):
+        p, q, cells, g = solved
+        # one cell goes to -1; every row and column still sums right
+        with pytest.raises(ValueError, match="coupling entries must be nonnegative"):
+            transport._value(p, q, self._swapped(p, cells, 1), g)
+
+    def test_a_moved_cell(self, solved):
+        p, q, cells, g = solved
+        (i, j, f), rest = cells[0], cells[1:]
+        moved = [(i, (j + 1) % len(p.space), f)] + rest
+        with pytest.raises(ValueError, match=r"column \d+ sums to"):
+            transport._value(p, q, moved, g)
+
+    def test_a_potential_that_is_not_short(self, solved):
+        p, q, cells, g = solved
+        diameter = max(map(max, p.space._ints))
+        raised = [g[0] + 2 * diameter + 1] + g[1:]
+        with pytest.raises(ValueError, match="functional is not short"):
+            transport._value(p, q, cells, raised)
+
+    def test_a_feasible_coupling_that_is_not_optimal(self, solved):
+        p, q, cells, g = solved
+        with pytest.raises(RuntimeError, match="dual witness attains"):
+            transport._value(p, q, self._swapped(p, cells, 0), g)
 
 
 def _greatest_by_bellman_ford(space, plan):

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -482,6 +483,28 @@ class TestDenominatorBits:
         # the factors' scales 3 and 5 have 5 bits; 7 and 10 have 7
         assert jsonio.space_from_json({"tensor": [thirds, fifths]})._scale == 15
         self.over(jsonio.space_from_json, {"tensor": [sevenths, self.AT_LIMIT]})
+
+
+@pytest.mark.parametrize("numerator", ["1", "k"])
+def test_a_repeated_long_denominator_fails_quickly(numerator):
+    # 128 points at distances 1/q or k/q with q 4,000 sevens: each of the
+    # 16,256 entries converted q from its digits again before the limit was
+    # met, which took 1.4-1.7 s
+    n, q = 128, "7" * 4000
+
+    def entry(i, j):
+        return "0" if i == j else f"{min(i, j) * n + max(i, j) if numerator == 'k' else 1}/{q}"
+
+    obj = {"points": [f"x{i}" for i in range(n)], "dist": [[entry(i, j) for j in range(n)] for i in range(n)]}
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as caught:
+        jsonio.space_from_json(obj)
+    assert time.perf_counter() - start < 0.5
+    bits = 1 + int(q).bit_length()  # the diagonal's denominator 1 has 1 bit
+    assert str(caught.value) == (
+        f"denominators of {bits} bits in all are over the limit of {jsonio.MAX_DENOMINATOR_BITS} "
+        "bits (kantorovich.jsonio.MAX_DENOMINATOR_BITS)"
+    )
 
 
 class TestNumeratorBits:

@@ -13,16 +13,16 @@ spaces, joints, closures, nested measures) hand their ints, reduced by
 factors alone: its ints are computed once, as the sum of theirs over the
 lcm of their scales, which is reduced and a metric because the factors
 were checked when they were built, so nothing about it is checked again.
-Its checks, their error messages, its equality and its hash read those
-ints: the triangle inequality is tested on every triple of any other
-space, except that a space given both a matrix and factors is compared
-against the sum of the factors in quadratic time, and the Lipschitz bound
-is tested on every pair, one C-level pass per point or pair; a failing
-check names its first violation with ``Fraction``s made from the ints it
-tested. The public
-``Fraction`` table (``dist``, ``values``, ``weights``, ``coupling``) is made
-on first read, one ``Fraction`` per distinct value, and kept. Values are
-immutable after construction; every operation is a pure function.
+A space given both a matrix and factors is accepted, in quadratic time,
+when it equals the tensor that :func:`tensor` builds from those factors.
+Checks, their error messages, equality and the hash read the ints: the
+triangle inequality is tested on every triple of any other space and the
+Lipschitz bound on every pair, one C-level pass per point or pair; a
+failing check names its first violation with ``Fraction``s made from the
+ints it tested. The public ``Fraction`` table (``dist``, ``values``,
+``weights``, ``coupling``) is made on first read, one ``Fraction`` per
+distinct value, and kept. Values are immutable after construction; every
+operation is a pure function.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm
-from operator import add, eq
+from operator import add
 from typing import Hashable, Iterable, Mapping
 
 Label = Hashable
@@ -113,15 +113,16 @@ class FinMetricSpace(_Exact):
     Construction validates the full set of metric axioms: zero diagonal,
     strict positivity off the diagonal (genuine metric, not pseudometric),
     symmetry, and the triangle inequality over all triples. A space given
-    a matrix whose distances are the sum of its two ``factors`` has them
-    from its factors, and one built by :func:`tensor` is computed from its
-    factors and has them by construction. Distinct points at distance zero
-    are rejected, never quotiented.
+    a matrix and two ``factors`` whose :func:`tensor` it equals has the
+    axioms from its factors, and one built by :func:`tensor` is computed
+    from its factors and has them by construction. Distinct points at
+    distance zero are rejected, never quotiented.
 
     ``factors`` records how a space was built by :func:`tensor`; it is
     construction metadata and takes no part in equality or hashing. Given
     factors must be two spaces whose tensor equals the space; a list of them
-    is kept as a tuple.
+    is kept as a tuple. Other factors get the full check, and then a
+    ValueError if the matrix passes it.
     ``_ints`` is ``dist`` scaled to integers by ``_scale``, the least common
     denominator of its entries; the axioms are checked on it, and so are
     map shortness, functional shortness and the transport costs. That form
@@ -140,12 +141,11 @@ class FinMetricSpace(_Exact):
             raise ValueError("a metric space needs at least one point")
         if len(index) != n:
             raise ValueError("point labels must be pairwise distinct")
-        summed = _kernel is _SUM
-        if summed:
+        if _kernel is _SUM:
             # the sum of two checked metrics, over the lcm of two reduced
             # scales: a metric, and reduced, so it needs no check
             scale = lcm(factors[0]._scale, factors[1]._scale)
-            ints = tuple(_sum_rows(*factors, scale))
+            ints = _sum_rows(*factors, scale)
         else:
             public = _kernel is None
             table = _flat(dist if public else _kernel[0], n, "distance matrix")
@@ -154,13 +154,25 @@ class FinMetricSpace(_Exact):
             if isinstance(factors, list):
                 factors = tuple(factors)
         vars(self).update(points=points, factors=factors, _index=index, _ints=ints, _scale=scale)
-        if not (summed or _check_axioms(self) or factors is None):
+        if _kernel is _SUM or (
+            # sizes first, so factors of the wrong size build no tensor; the
+            # tensor of two checked metrics needs no check, and comparing
+            # keys, its points and reduced ints, takes O(n^2)
+            isinstance(factors, tuple)
+            and len(factors) == 2
+            and all(isinstance(f, FinMetricSpace) for f in factors)
+            and len(factors[0]) * len(factors[1]) == n
+            and tensor(*factors)._key() == self._key()
+        ):
+            return
+        _check_axioms(self)
+        if factors is not None:
             raise ValueError("factors must be two spaces whose tensor is this space")
 
     @classmethod
-    def _from_ints(cls, points, rows, scale: int, factors=None) -> "FinMetricSpace":
+    def _from_ints(cls, points, rows, scale: int) -> "FinMetricSpace":
         """The space with distances ``rows[i][j] / scale``, checked like any other."""
-        return cls(points, None, factors, (rows, scale))
+        return cls(points, None, None, (rows, scale))
 
     def _key(self):
         return self._scale, self._ints, self.points
@@ -178,39 +190,19 @@ class FinMetricSpace(_Exact):
         return self.dist[self.index(a)][self.index(b)]
 
 
-def _check_axioms(space: FinMetricSpace) -> bool:
+def _check_axioms(space: FinMetricSpace) -> None:
     """Raise on the first metric axiom that the space's ``_ints`` breaks.
 
-    It runs on every space given a matrix, never on one that ``tensor``
-    builds, whose ints are computed from its factors in the first place.
-    Return whether the space is certified by its given ``factors``: a tuple
-    of two spaces whose row-major pairs of points are its points and whose
-    sum metric, over a scale that is a multiple of both factor scales, is
-    its ints. That is exactly when the space is their tensor, and a sum
-    of two metrics on a product of point sets is a metric, as the factors
-    passed these checks when they were built. The test compares whole rows
-    at C speed, O(n^2) in all, and stops at the first row that differs.
-    Every other space, including one whose given ``factors`` do not
-    add up, is checked in full, and False is returned if it passes: one
-    pass per row tests its diagonal entry, then its other entries for
-    positivity and the row against its column for symmetry at C speed; only
-    a failing row is scanned for its first bad column; then the triangle
-    inequality is tested on every triple. The messages give the exact values
-    as ``Fraction``s of the ints that were tested.
+    It runs on every space given a matrix, unless the space was given
+    ``factors`` whose tensor it is, and never on one that ``tensor`` builds,
+    whose ints are computed from its factors in the first place. One pass
+    per row tests its diagonal entry, then its other entries for positivity
+    and the row against its column for symmetry at C speed; only a failing
+    row is scanned for its first bad column; then the triangle inequality
+    is tested on every triple. The messages give the exact values as
+    ``Fraction``s of the ints that were tested.
     """
-    points, ints, scale, factors = space.points, space._ints, space._scale, space.factors
-    # sizes first: map stops at the shorter side, and factors too large for
-    # the space would build rows for nothing
-    if (
-        isinstance(factors, tuple)
-        and len(factors) == 2
-        and all(isinstance(f, FinMetricSpace) for f in factors)
-        and len(factors[0]) * len(factors[1]) == len(ints)
-        and not (scale % factors[0]._scale or scale % factors[1]._scale)
-        and all(map(eq, points, product(factors[0].points, factors[1].points)))
-        and all(map(eq, ints, _sum_rows(*factors, scale)))
-    ):
-        return True
+    points, ints, scale = space.points, space._ints, space._scale
     n = len(ints)
     columns = tuple(zip(*ints))
     for i, row in enumerate(ints):
@@ -236,7 +228,6 @@ def _check_axioms(space: FinMetricSpace) -> bool:
                     f"d({points[i]!r},{points[k]!r}) + d({points[k]!r},{points[j]!r}) = "
                     f"{Fraction(row[k] + ints[k][j], scale)}"
                 )
-    return False
 
 
 def _over(rows, scale: int) -> tuple:
@@ -291,7 +282,9 @@ def tensor(x: FinMetricSpace, y: FinMetricSpace) -> FinMetricSpace:
     row-major order with the left factor outer, and the result remembers its
     factors so marginals need no inference. Its int matrix is computed once
     from the factors, which were checked when they were built; the sum of
-    two metrics is a metric, so it is not checked again. Only the most
+    two metrics is a metric, so it is not checked again. A space given a
+    matrix and factors is compared with the tensor of those factors, built
+    here. Only the most
     recent tensors are cached: nearly all reuse falls within one law check,
     so a small cache keeps that saving without holding spaces from one
     check to the next, and what the package holds between calls stays
@@ -313,19 +306,16 @@ def _tensor(x, y, x_shape, y_shape):
     return FinMetricSpace(product(x.points, y.points), None, (x, y), _SUM)
 
 
-def _sum_rows(x: FinMetricSpace, y: FinMetricSpace, scale: int):
-    """The int rows of the sum metric on x times y over ``scale``, a multiple of both scales.
+def _sum_rows(x: FinMetricSpace, y: FinMetricSpace, scale: int) -> tuple:
+    """The int rows of the sum metric on x times y over ``scale``, the lcm of both scales.
 
-    Over ``lcm(x._scale, y._scale)`` the rows are reduced: a prime dividing
-    that scale and every row would divide one factor's scale and all its
-    ints. A tensor takes all of them; the rows come one at a time so that
-    ``_check_axioms`` stops at the first one that differs from a space's
-    given matrix.
+    They are reduced: a prime dividing that scale and every row would
+    divide one factor's scale and all its ints.
     """
     sx, sy = scale // x._scale, scale // y._scale
     x_rows = [[d * sx for d in row] for row in x._ints]
     y_rows = [[d * sy for d in row] for row in y._ints]
-    return (tuple([a + b for a in xr for b in yr]) for xr in x_rows for yr in y_rows)
+    return tuple(tuple([a + b for a in xr for b in yr]) for xr in x_rows for yr in y_rows)
 
 
 tensor.cache_info = _tensor.cache_info

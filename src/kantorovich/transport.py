@@ -12,15 +12,19 @@ whose blocks are single rows: rows go in cyclic order from the one after
 the last entering row, and the first row with a negative reduced cost
 brings in its most negative cell.
 
-Cycling is ruled out by perturbation (Orden 1956; Ahuja, Magnanti & Orlin
-1993, ch. 11). With M = 2m + 1, every mass is scaled by M, 1 is added to
-each supply and m to the last demand. Cutting a tree cell splits the tree
-in two, and the cell carries the net supply of the side that lacks the last
-column: M·x + r or M·x - r, where x is the true flow on the same tree and
-0 <= r <= m counts that side's rows. If r = 0 that side is one column, and
-the cell carries all of its demand, so no basic flow is ever 0. Every pivot
-then moves a positive amount and lowers the cost, no basis comes back, the
-leaving cell is unique, and the true flows are (x' + m) // M.
+Cycling is ruled out by strongly feasible trees (Cunningham 1976; Ahuja,
+Magnanti & Orlin 1993, section 11.5). Rooted at row 0, the tree is strongly
+feasible when every cell with zero flow hangs its column below its row, so
+that a positive amount can be sent from the root down to any node. The
+northwest corner starts that way, because on a tie between a row and a
+column it moves to the next column first. The leaving cell is the first
+blocking minus cell met going round the pivot cycle from its apex, along
+the entering cell. That keeps the tree strongly feasible: a pivot that
+moves no flow cuts a cell on the column side of the cycle and hangs column
+j below row i, raising every row potential and lowering every column
+potential of the subtree it re-hangs. Between two pivots that lower the
+cost, the sum of u minus the sum of v only rises, so no basis comes back.
+The tree holds the true flows.
 
 The certificates do not depend on the pivot path. The short functionals
 that attain the distance are exactly those tight on the support of any one
@@ -203,20 +207,20 @@ def _solve_transportation(costs, supplies, demands):
     """Exact network simplex on integers; returns (flows, u, pivots) at optimality.
 
     ``costs`` is an m x k matrix of ints, and ``supplies`` and ``demands`` are
-    positive ints with equal totals. The masses are perturbed as the module
-    docstring says, so no basis is degenerate. The spanning tree of basic
-    cells starts as the northwest-corner staircase, rooted at row 0, and is
-    kept across pivots as parent, depth and child arrays over the m + k nodes
-    (rows, then columns). ``flow[x]`` is the perturbed flow on the cell
-    joining node x to its parent, and ``u[i] + v[j] == costs[i][j]`` holds on
-    every basic cell with u[0] = 0. Entering cell: the most negative reduced
-    cost in the first row that has a negative one, the rows scanned
-    cyclically from the one after the last entering row. Leaving cell: the
-    one minus cell of the pivot cycle whose flow is minimal. ``flows`` maps
-    each basic cell to its true flow, and ``pivots`` counts the pivots.
+    positive ints with equal totals. The spanning tree of basic cells starts
+    as the northwest-corner staircase, rooted at row 0, and is kept across
+    pivots as parent, depth and child arrays over the m + k nodes (rows, then
+    columns). ``flow[x]`` is the flow on the cell joining node x to its
+    parent, and ``u[i] + v[j] == costs[i][j]`` holds on every basic cell with
+    u[0] = 0. The tree stays strongly feasible, as the module docstring
+    says: a zero flow only ever joins a column to its parent row. Entering
+    cell: the most negative reduced cost in the first row that has a
+    negative one, the rows scanned cyclically from the one after the last
+    entering row. Leaving cell: the first minus cell of least flow met going
+    round the pivot cycle from its apex. ``flows`` maps each of the m + k - 1
+    basic cells to its flow, zero included, and ``pivots`` counts the pivots.
     """
     m, k = len(supplies), len(demands)
-    big = 2 * m + 1
     parent = [-1] * (m + k)
     depth = [0] * (m + k)
     flow = [0] * (m + k)
@@ -228,10 +232,9 @@ def _solve_transportation(costs, supplies, demands):
         return (x, parent[x] - m) if x < m else (parent[x], x - m)
 
     # northwest corner: each staircase cell brings in one new row or column;
-    # on perturbed masses a row and a column run out together only at the end
-    a = [x * big + 1 for x in supplies]
-    b = [x * big for x in demands]
-    b[-1] += m
+    # when a row and a column run out together the next column comes first,
+    # so its zero-flow cell hangs it below the row
+    a, b = list(supplies), list(demands)
     i = j = 0
     node, other = m, 0
     while True:
@@ -246,7 +249,7 @@ def _solve_transportation(costs, supplies, demands):
             v[j] = costs[i][j] - u[i]
         if i == m - 1 and j == k - 1:
             break
-        if a[i] == 0:
+        if b[j]:
             i += 1
             node, other = i, m + j
         else:
@@ -261,7 +264,7 @@ def _solve_transportation(costs, supplies, demands):
             if rc < 0:
                 break
         else:
-            flows = {cell(x): (flow[x] + m) // big for x in range(m + k) if parent[x] >= 0}
+            flows = {cell(x): flow[x] for x in range(m + k) if parent[x] >= 0}
             return flows, u, pivots
         start = i + 1
         priced = list(map(sub, costs[i], v))
@@ -271,7 +274,8 @@ def _solve_transportation(costs, supplies, demands):
         # the cycle is the entering cell plus the tree paths up to the apex;
         # a tree cell is a minus cell when the cycle, oriented along the
         # entering cell from row i to column j, runs through it from its
-        # column end to its row end
+        # column end to its row end; from the apex it runs down to row i and
+        # back up from column j, and the first least flow in that order leaves
         x, y = i, m + j
         row_side, col_side = [], []
         while x != y:
@@ -282,7 +286,7 @@ def _solve_transportation(costs, supplies, demands):
                 col_side.append(y)
                 y = parent[y]
         out = min(
-            [x for x in row_side if x < m] + [y for y in col_side if y >= m],
+            [x for x in reversed(row_side) if x < m] + [y for y in col_side if y >= m],
             key=flow.__getitem__,
         )
         theta = flow[out]

@@ -7,7 +7,9 @@ byte-identical values, couplings and witnesses. So must ``wasserstein``'s
 own plan and witness fed back in, since any optimal support and tight short
 potential are enough. ``wasserstein_distance`` certifies the same value by
 the solve's own coupling and potential, without the canonical step, and
-rejects a coupling or potential that does not prove it.
+rejects a coupling or potential that does not prove it. On tie-heavy
+problems the solver's tree stays strongly feasible, and Bland's rule gives
+the reference cost.
 """
 
 import random
@@ -308,7 +310,7 @@ def test_pivot_count_at_128_points():
         assert 0 < pivots <= 2000
 
 
-def test_perturbed_solve_on_degenerate_masses():
+def test_strongly_feasible_solve_on_degenerate_masses():
     # equal masses on a uniform metric: every northwest-corner step ties
     costs = [[1] * 3 for _ in range(3)]
     supplies, demands = [1] * 3, [1] * 3
@@ -319,3 +321,55 @@ def test_perturbed_solve_on_degenerate_masses():
         assert sum(f for (r, _), f in flows.items() if r == a) == s
     for b, s in enumerate(demands):
         assert sum(f for (_, c), f in flows.items() if c == b) == s
+
+
+def _tie_heavy(rng):
+    """Seeded transportation problems of up to 9 x 9 cells where many steps tie."""
+    for _ in range(2000):
+        m, k = rng.randint(1, 9), rng.randint(1, 9)
+        low, high = rng.choice(((1, 1), (0, 3)))
+        costs = [[rng.randint(low, high) for _ in range(k)] for _ in range(m)]
+        if rng.random() < 0.5:
+            yield costs, [k] * m, [m] * k
+            continue
+        supplies = [rng.randint(1, 4) for _ in range(m)]
+        demands = [rng.randint(1, 4) for _ in range(k)]
+        # one unit at a time to the lighter side, until the totals agree
+        while sum(supplies) != sum(demands):
+            lighter = min(supplies, demands, key=sum)
+            lighter[rng.randrange(len(lighter))] += 1
+        yield costs, supplies, demands
+
+
+def _depths(flows, m, k):
+    """Each node's depth in the tree of basic cells rooted at row 0 (rows, then columns)."""
+    near = [[] for _ in range(m + k)]
+    for i, j in flows:
+        near[i].append(m + j)
+        near[m + j].append(i)
+    depth, stack = {0: 0}, [0]
+    while stack:
+        x = stack.pop()
+        for y in near[x]:
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    return depth
+
+
+def test_tie_heavy_solves_stay_strongly_feasible():
+    # uniform and 0-3 costs with equal or random integer masses tie at most
+    # steps; a leaving rule that lost strong feasibility could cycle here
+    for costs, supplies, demands in _tie_heavy(random.Random(29)):
+        m, k = len(supplies), len(demands)
+        flows, _, _ = transport._solve_transportation(costs, supplies, demands)
+        bland = bland_reference._solve_transportation(costs, supplies, demands)[0]
+        cost = sum(f * costs[i][j] for (i, j), f in flows.items())
+        assert cost == sum(f * costs[i][j] for (i, j), f in bland.items())
+        assert [sum(f for (r, _), f in flows.items() if r == a) for a in range(m)] == supplies
+        assert [sum(f for (_, c), f in flows.items() if c == b) for b in range(k)] == demands
+        assert len(flows) == m + k - 1 and min(flows.values()) >= 0
+        # a spanning tree in which every zero-flow cell hangs its column below its row
+        depth = _depths(flows, m, k)
+        assert len(depth) == m + k
+        assert all(depth[m + j] > depth[i] for (i, j), f in flows.items() if not f)

@@ -140,22 +140,29 @@ class TestTensor:
             for build in (
                 lambda: FinMetricSpace(aa.points, dist),
                 lambda: FinMetricSpace(aa.points, dist, factors=factors),
-                lambda: FinMetricSpace._from_ints(aa.points, dist, 1, factors=factors),
             ):
                 with pytest.raises(ValueError) as info:
                     build()
                 assert str(info.value) == message
+
+    def test_a_hand_built_tensor_runs_no_axiom_check(self, monkeypatch):
+        a = FinMetricSpace(("hand-a0", "hand-a1"), ((0, 1), (1, 0)))
+        aa = tensor(a, a)
+
+        def refuse(space):
+            raise AssertionError("the factors alone certify this space")
+
+        monkeypatch.setattr(metric, "_check_axioms", refuse)
+        given = FinMetricSpace(aa.points, aa.dist, factors=(a, a))
+        assert given == aa and given.factors == (a, a)
 
     def test_factors_that_build_the_space_are_kept_as_given(self):
         half = FinMetricSpace(("kept-h0", "kept-h1"), ((0, Fraction(1, 2)), (Fraction(1, 2), 0)))
         third = FinMetricSpace(("kept-t0", "kept-t1"), ((0, Fraction(1, 3)), (Fraction(1, 3), 0)))
         both = tensor(half, third)
         for factors in ((half, third), [half, third]):
-            for given in (
-                FinMetricSpace(both.points, both.dist, factors=factors),
-                FinMetricSpace._from_ints(both.points, both._ints, both._scale, factors=factors),
-            ):
-                assert given == both and given.factors == tuple(factors)
+            given = FinMetricSpace(both.points, both.dist, factors=factors)
+            assert given == both and given.factors == tuple(factors)
 
     def test_a_list_of_factors_changed_later_leaves_the_space_alone(self):
         a = FinMetricSpace(("list-a0", "list-a1"), ((0, 1), (1, 0)))
@@ -176,12 +183,8 @@ class TestTensor:
         assert swapped != list(aa.points)
         ones = tuple(tuple(int(i != j) for j in range(4)) for i in range(4))
         for points, ints in ((swapped, aa._ints), (aa.points, ones)):
-            for build in (
-                lambda: FinMetricSpace(points, ints, factors=(a, a)),
-                lambda: FinMetricSpace._from_ints(points, ints, aa._scale, factors=(a, a)),
-            ):
-                with pytest.raises(ValueError, match="factors must be two spaces"):
-                    build()
+            with pytest.raises(ValueError, match="factors must be two spaces"):
+                FinMetricSpace(points, ints, factors=(a, a))
             assert FinMetricSpace._from_ints(points, ints, aa._scale).factors is None
 
     @settings(max_examples=60)
